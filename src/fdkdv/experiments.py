@@ -22,6 +22,7 @@ from .flow import (
     default_step,
     energy_envelope,
     evolve,
+    linear_flow,
 )
 from .normal_form import smoothing_gap
 from .spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
@@ -359,8 +360,6 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
             restart = []
             for j in range(i0, len(traj.states)):
                 tau = float(traj.times[j] - traj.times[i0])
-                from .flow import linear_flow
-
                 lin = linear_flow(u_restart, tau, cfg.gamma)
                 diff = traj.states[j].with_coef(traj.states[j].coef - lin.coef)
                 restart.append(sobolev_norm(diff, s))

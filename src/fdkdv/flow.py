@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import CoefSeq, GridSpec, sobolev_norm
+from .spectral import CoefSeq, GridSpec, convolve_raw, sobolev_norm
 
 
 class StepFailureError(RuntimeError):
@@ -141,13 +141,7 @@ def _nonlinear_raw(coef: np.ndarray, params: FlowParams, k: np.ndarray) -> np.nd
     """Quadratic + forcing part of du/dt on raw arrays (k = 0 forced to zero)."""
     out = np.zeros_like(coef)
     if params.include_nonlinear:
-        g = params.grid
-        buf = np.zeros(g.P, dtype=np.complex128)
-        buf[: g.K + 1] = coef[g.K :]
-        buf[g.P - g.K :] = coef[: g.K]
-        phys = np.fft.ifft(buf) * g.P
-        spec = np.fft.fft(phys * phys) / g.P
-        out = -0.5j * k * spec[np.mod(g.modes, g.P)]
+        out = -0.5j * k * convolve_raw(coef, coef, params.grid)
     out = out + params.forcing.coef
     out[params.grid.K] = 0.0
     return out

@@ -146,6 +146,27 @@ def _admissible_scan(K: int):
         yield int(k1), K2, K3, k4, f12, f13, s23, valid
 
 
+def _lattice_extremum(K: int, ratio, largest: bool):
+    """Extremum of ratio(k1, K2, K3, k4, product) over the admissible lattice,
+    with product = |k1+k2||k1+k3||k2+k3| as floats (1 off the lattice, where
+    the ratio is ignored).  Returns (value, witness_quadruple); ties go to
+    the first quadruple in scan order.
+    """
+    sign = 1.0 if largest else -1.0
+    best = -np.inf
+    witness = None
+    for k1, K2, K3, k4, f12, f13, s23, valid in _admissible_scan(K):
+        if not valid.any():
+            continue
+        product = np.where(valid, np.abs(f12 * f13 * s23), 1).astype(np.float64)
+        r = np.where(valid, sign * ratio(k1, K2, K3, k4, product), -np.inf)
+        i = np.unravel_index(np.argmax(r), r.shape)
+        if r[i] > best:
+            best = float(r[i])
+            witness = (k1, int(K2[i]), int(K3[i]), int(k4[i]))
+    return sign * best, witness
+
+
 def resonance_factor_min_ratio(K: int):
     """min over the admissible lattice and i of |k1+k2||k1+k3||k2+k3| / |k_i|.
 
@@ -154,21 +175,12 @@ def resonance_factor_min_ratio(K: int):
     |k_i| is at most 3/2 of the largest factor times the other two).
     Returns (min_ratio, witness_quadruple).
     """
-    best = np.inf
-    witness = None
-    for k1, K2, K3, k4, f12, f13, s23, valid in _admissible_scan(K):
-        if not valid.any():
-            continue
-        product = np.abs(f12 * f13 * s23).astype(np.float64)
-        kmax = np.maximum(
-            np.maximum(abs(k1), np.abs(K2)), np.maximum(np.abs(K3), np.abs(k4))
-        ).astype(np.float64)
-        ratio = np.where(valid, product / kmax, np.inf)
-        i = np.unravel_index(np.argmin(ratio), ratio.shape)
-        if ratio[i] < best:
-            best = float(ratio[i])
-            witness = (k1, int(K2[i]), int(K3[i]), int(k4[i]))
-    return best, witness
+
+    def ratio(k1, K2, K3, k4, product):
+        kmax = np.maximum(np.maximum(abs(k1), np.abs(K2)), np.maximum(np.abs(K3), np.abs(k4)))
+        return product / kmax.astype(np.float64)
+
+    return _lattice_extremum(K, ratio, largest=False)
 
 
 def smoothing_multiplier_sup(budget: LatticeBudget):
@@ -180,21 +192,14 @@ def smoothing_multiplier_sup(budget: LatticeBudget):
     """
     s, eps = budget.s, budget.eps
     expo = 0.5 - 7.0 * eps
-    best = -np.inf
-    witness = None
-    for k1, K2, K3, k4, f12, f13, s23, valid in _admissible_scan(budget.K):
-        if not valid.any():
-            continue
-        product = np.where(valid, np.abs(f12 * f13 * s23), 1).astype(np.float64)
+
+    def ratio(k1, K2, K3, k4, product):
         num = np.abs(k4).astype(np.float64) ** s * (
             np.abs(k1 * K2 * K3 * k4).astype(np.float64) ** eps
         )
-        ratio = np.where(valid, num / (abs(k1) * product**expo), -np.inf)
-        i = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[i] > best:
-            best = float(ratio[i])
-            witness = (k1, int(K2[i]), int(K3[i]), int(k4[i]))
-    return best, witness
+        return num / (abs(k1) * product**expo)
+
+    return _lattice_extremum(budget.K, ratio, largest=True)
 
 
 def reduced_multiplier_sup(budget: LatticeBudget):
@@ -208,20 +213,11 @@ def reduced_multiplier_sup(budget: LatticeBudget):
     """
     s, eps = budget.s, budget.eps
     expo = 0.5 - 11.0 * eps
-    best = -np.inf
-    witness = None
-    for k1, K2, K3, k4, f12, f13, s23, valid in _admissible_scan(budget.K):
-        if not valid.any():
-            continue
-        product = np.where(valid, np.abs(f12 * f13 * s23), 1).astype(np.float64)
-        ratio = np.where(
-            valid, np.abs(k4).astype(np.float64) ** s / (abs(k1) * product**expo), -np.inf
-        )
-        i = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[i] > best:
-            best = float(ratio[i])
-            witness = (k1, int(K2[i]), int(K3[i]), int(k4[i]))
-    return best, witness
+
+    def ratio(k1, K2, K3, k4, product):
+        return np.abs(k4).astype(np.float64) ** s / (abs(k1) * product**expo)
+
+    return _lattice_extremum(budget.K, ratio, largest=True)
 
 
 def _random_hermitian(grid: GridSpec, rng: np.random.Generator) -> CoefSeq:
@@ -284,42 +280,32 @@ def _embed(u: CoefSeq, grid: GridSpec) -> CoefSeq:
 
 def bilinear_norm_constant(budget: LatticeBudget, trials: int = 200, seed: int = 0) -> float:
     """Estimate sup ||B(u,v)||_{H^s} / (||u|| ||v||) by random Hermitian
-    trials plus greedy coordinate ascent from the best trial.
+    trials plus greedy coordinate ascent from the best trial: a one-rung
+    :func:`bilinear_constant_ladder`.
 
     Zero-norm trials are degenerate and skipped (ratio treated as 0).
     Deterministic in (trials, seed).
     """
     if budget.s >= 1.0:
         raise ValueError("the bilinear bound is for s < 1")
-    grid = GridSpec(budget.K)
-    rng = np.random.default_rng(seed)
-    # deterministic two-mode seed keeps the estimate comparable across K
-    u = v = CoefSeq.from_modes(grid, {1: 1.0, -1: 1.0})
-    best = _bilinear_ratio(u, v, budget.s)
-    for _ in range(trials):
-        uc = _random_hermitian(grid, rng)
-        vc = _random_hermitian(grid, rng)
-        r = _bilinear_ratio(uc, vc, budget.s)
-        if r > best:
-            best, u, v = r, uc, vc
-    best, _, _ = _ascend(u, v, budget.s)
-    return best
+    return bilinear_constant_ladder([budget.K], budget.s, trials=trials, seed=seed)[0]
 
 
-def bilinear_constant_ladder(
-    k_values, s: float, trials: int = 200, seed: int = 0, eps: float = 0.01
-) -> list[float]:
-    """Run :func:`bilinear_norm_constant` over increasing truncations,
-    warm-starting each rung with the previous rung's maximizer embedded into
-    the finer grid (the embedding preserves its ratio exactly, so the
-    estimates are monotone and rung-to-rung growth measures the genuine sup,
-    not maximizer-search noise)."""
+def bilinear_constant_ladder(k_values, s: float, trials: int = 200, seed: int = 0) -> list[float]:
+    """Estimate the bilinear constant over increasing truncations: per rung,
+    the best of a deterministic two-mode start and `trials` random Hermitian
+    pairs, refined by greedy coordinate ascent.  Each rung is warm-started
+    with the previous rung's maximizer embedded into the finer grid (the
+    embedding preserves its ratio exactly, so the estimates are monotone and
+    rung-to-rung growth measures the genuine sup, not maximizer-search
+    noise)."""
     k_values = sorted(k_values)
     results = []
     carried = None
     rng = np.random.default_rng(seed)
     for K in k_values:
         grid = GridSpec(K)
+        # deterministic two-mode seed keeps the estimate comparable across K
         u = v = CoefSeq.from_modes(grid, {1: 1.0, -1: 1.0})
         best = _bilinear_ratio(u, v, s)
         for _ in range(trials):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import TrajectoryRecord
-from .spectral import CoefSeq, sobolev_norm
+from .flow import TrajectoryRecord, linear_flow
+from .spectral import CoefSeq, GridSpec, convolve_raw, sobolev_norm
 
 
 def third_antiderivative(f: CoefSeq) -> CoefSeq:
@@ -80,34 +80,40 @@ class NormalFormFrame:
         return z.with_coef(z.coef / self._twist(t) + self.v.coef)
 
 
+def _twisted_over_k(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u_j e^{i t j^3} / j with the j = 0 slot zeroed, e^{i t k^3}) on the grid.
+
+    The twist factors the cubic phases: 3 k k1 k2 = k^3 - k1^3 - k2^3 on
+    k = k1 + k2, and 3 (k1+k2)(k1+k3)(k2+k3) = k^3 - k1^3 - k2^3 - k3^3 on
+    k = k1 + k2 + k3, so every phase-weighted sum becomes e^{-i t k^3} times
+    a plain convolution of twisted inputs.  At t = 0 the twist is 1 and is
+    not applied.
+    """
+    k = u.grid.modes.astype(np.float64)
+    inv = np.zeros_like(k)
+    inv[k != 0] = 1.0 / k[k != 0]
+    twist = np.exp(1j * t * k**3) if t != 0.0 else np.ones_like(k)
+    return u.coef * twist * inv, twist
+
+
 def normal_form_bilinear(u: CoefSeq, v: CoefSeq, t: float = 0.0) -> CoefSeq:
     """Boundary bilinear form: (1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2).
 
     The k = 0 output is zero by definition.  t = 0 gives the stationary form;
     the phase preserves Hermitian symmetry at every t.  Inputs must be
-    mean-zero so k1, k2 never vanish.
+    mean-zero so k1, k2 never vanish.  Computed as the twisted convolution
+    e^{-i t k^3} conv(u~/k, v~/k) / 6 with u~_j = u_j e^{i t j^3}, O(K log K).
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
     if not (u.is_mean_zero() and v.is_mean_zero()):
         raise ValueError("inputs must be mean-zero")
-    K = u.grid.K
-    kk = np.arange(-K, K + 1, dtype=np.float64)
-    inv = np.zeros_like(kk)
-    inv[kk != 0] = 1.0 / kk[kk != 0]
-    a = u.coef * inv  # u_{k1} / k1
-    b = v.coef * inv  # v_{k2} / k2
-    out = np.zeros(u.grid.size, dtype=np.complex128)
-    for k in range(-K, K + 1):
-        if k == 0:
-            continue
-        k1_lo, k1_hi = max(-K, k - K), min(K, k + K)
-        k1 = np.arange(k1_lo, k1_hi + 1)
-        k2 = k - k1
-        terms = a[k1 + K] * b[k2 + K]
-        if t != 0.0:
-            terms = terms * np.exp((-3j * t * k) * (k1 * k2))
-        out[k + K] = terms.sum() / 6.0
+    a, twist = _twisted_over_k(u, t)
+    b = a if v is u else _twisted_over_k(v, t)[0]
+    out = convolve_raw(a, b, u.grid) / 6.0
+    if t != 0.0:
+        out *= np.conj(twist)
+    out[u.grid.K] = 0.0
     return u.with_coef(out)
 
 
@@ -162,66 +168,65 @@ def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = No
 
         (i/6) sum_{k1+k2+k3=k} e^{-3i t (k1+k2)(k1+k3)(k2+k3)} u_{k1} u_{k2} u_{k3} / k1
 
-    restricted to (k1+k2)(k1+k3)(k2+k3) != 0.  O(K^2) per output mode.
+    restricted to (k1+k2)(k1+k3)(k2+k3) != 0.
 
     pair_sum_band additionally restricts |k2 + k3| <= band.  That is the
     domain generated when the truncated quadratic dynamics are substituted
     into the bilinear term, so the differential identity at truncation K
     holds exactly only with pair_sum_band = K (see normal_form_residual).
+
+    The sum over all triples with k2 + k3 = m != 0, |m| <= band is the
+    twisted convolution e^{-i t k^3} conv(u~/k, band(u~ * u~)), taken on the
+    2K grid so that the pair sums m reach |m| <= 2K without aliasing.  The
+    resonant triples in it have phase 1 and are subtracted in closed form
+    (:func:`_resonant_cubic_banded`); O(K log K) overall.
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
     K = u.grid.K
-    k1v = np.arange(-K, K + 1)
-    k2v = np.arange(-K, K + 1)
-    K1, K2 = np.meshgrid(k1v, k2v, indexing="ij")
-    U1 = u.coef[K1 + K]
-    U2 = u.coef[K2 + K]
-    inv1 = np.zeros(2 * K + 1)
-    inv1[k1v != 0] = 1.0 / k1v[k1v != 0]
-    W1 = inv1[K1 + K] * U1  # u_{k1}/k1
-    out = np.zeros(u.grid.size, dtype=np.complex128)
-    for k in range(-K, K + 1):
-        if k == 0:
-            continue
-        K3 = k - K1 - K2
-        valid = (np.abs(K3) <= K) & (K3 != 0) & (K1 != 0) & (K2 != 0)
-        s23 = K2 + K3
-        valid &= s23 != 0
-        if pair_sum_band is not None:
-            valid &= np.abs(s23) <= pair_sum_band
-        f12 = K1 + K2
-        f13 = K1 + K3
-        phase_int = f12 * f13 * s23
-        valid &= phase_int != 0
-        if not valid.any():
-            continue
-        U3 = u.coef[np.where(valid, K3 + K, 0)]
-        terms = W1 * U2 * U3
-        if t != 0.0:
-            terms = terms * np.exp(-3j * t * phase_int)
-        out[k + K] = (1j / 6.0) * terms[valid].sum()
+    band = 2 * K if pair_sum_band is None else min(max(pair_sum_band, 0), 2 * K)
+    wide = GridSpec(2 * K)
+    w, twist = _twisted_over_k(u, t)
+    inner = np.zeros(wide.size, dtype=np.complex128)
+    outer = np.zeros(wide.size, dtype=np.complex128)
+    inner[K : 3 * K + 1] = u.coef * twist
+    outer[K : 3 * K + 1] = w
+    pairs = convolve_raw(inner, inner, wide)
+    m = wide.modes
+    pairs[(m == 0) | (np.abs(m) > band)] = 0.0
+    full = convolve_raw(outer, pairs, wide)[K : 3 * K + 1]
+    if t != 0.0:
+        full *= np.conj(twist)
+    out = (1j / 6.0) * full - _resonant_cubic_banded(u.coef, band)
+    out[K] = 0.0
     return u.with_coef(out)
 
 
-def _resonant_cubic_banded(a: np.ndarray, K: int) -> np.ndarray:
-    """Resonant part of the cubic sum on the truncation-consistent domain
-    (|k2 + k3| <= K): the diagonal term survives only for |2k| <= K, and the
-    pair classes cancel in j <-> -j pairs except for a band-edge tail."""
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    out = np.zeros(2 * K + 1, dtype=np.complex128)
-    mag = np.abs(a) ** 2
-    for i, kk in enumerate(k):
-        if kk == 0:
-            continue
-        s = 0.0 + 0.0j
-        if abs(2 * kk) <= K:
-            s += -mag[i] * a[i] / kk
-        j = np.arange(-K, K + 1)
-        sel = (j != 0) & (np.abs(j) != abs(kk)) & (np.abs(kk - j) <= K)
-        if sel.any():
-            s += 2.0 * a[i] * np.sum(mag[j[sel] + K] / j[sel])
-        out[i] = (1j / 6.0) * s
+def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:
+    """Resonant part of the cubic sum (triples with k1 + k2 = 0 or
+    k1 + k3 = 0) on the domain |k2 + k3| <= band, for coefficients a on
+    -K..K.
+
+    Both pair classes contribute a_k sum_j |a_j|^2 / j over 0 < |j| <= K,
+    j != +-k, |k - j| <= band; the doubly resonant diagonal -|a_k|^2 a_k / k
+    survives only for |2k| <= band.  At band = K (the truncation-consistent
+    domain) the pair sums cancel in j <-> -j pairs except for a band-edge
+    tail.  Window sums come from one prefix sum, O(K).
+    """
+    K = (a.size - 1) // 2
+    k = np.arange(-K, K + 1)
+    nz = k != 0
+    w = np.zeros(a.size)
+    w[nz] = np.abs(a[nz]) ** 2 / k[nz]
+    prefix = np.concatenate(([0.0], np.cumsum(w)))
+    lo = np.maximum(k - band, -K) + K
+    hi = np.minimum(k + band, K) + K
+    diagonal = np.abs(2 * k) <= band
+    # the window always holds j = k, and holds j = -k exactly when |2k| <= band
+    window = prefix[hi + 1] - prefix[lo] - w - np.where(diagonal, w[::-1], 0.0)
+    # w_k a_k = |a_k|^2 a_k / k is the diagonal term
+    out = (1j / 6.0) * a * (2.0 * window - np.where(diagonal, w, 0.0))
+    out[K] = 0.0
     return out
 
 
@@ -310,8 +315,6 @@ def smoothing_gap(u0: CoefSeq, traj: TrajectoryRecord, t: float, s: float) -> fl
     Measures how much smoother the solution is than its damped Airy
     evolution; gamma is taken from the trajectory.
     """
-    from .flow import linear_flow
-
     u = traj.state_at(t)
     lin = linear_flow(u0, t, traj.gamma)
     return sobolev_norm(u.with_coef(u.coef - lin.coef), s)

@@ -8,6 +8,7 @@ u_0 = 0.  All norms are sequence norms: ||u||^2 = sum_{k != 0} |u_k|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,13 @@ class GridSpec:
     @property
     def size(self) -> int:
         return 2 * self.K + 1
+
+    @cached_property
+    def fft_index(self) -> np.ndarray:
+        """Positions of the modes -K..K in a length-P FFT output."""
+        idx = np.mod(self.modes, self.P)
+        idx.setflags(write=False)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -174,39 +182,32 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> CoefSeq:
     if samples.shape != (grid.P,):
         raise ValueError(f"expected {grid.P} samples, got {samples.shape}")
     spec = np.fft.fft(samples) / grid.P
-    k = grid.modes
-    return CoefSeq(grid, spec[np.mod(k, grid.P)])
+    return CoefSeq(grid, spec[grid.fft_index])
+
+
+def convolve_raw(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(a b)_k = sum_{m+n=k, |m|,|n| <= K} a_n b_m for |k| <= K, on raw
+    coefficient arrays of length 2K+1 (any complex entries, no symmetry
+    assumed).
+
+    Zero-padded transforms of size P >= 3K+1 make the result the exact
+    truncation of the full convolution (to roundoff) in O(P log P).  Passing
+    the same array twice saves one inverse transform.
+    """
+    pa = np.fft.ifft(_pad_to_physical(a, grid)) * grid.P
+    pb = pa if b is a else np.fft.ifft(_pad_to_physical(b, grid)) * grid.P
+    return (np.fft.fft(pa * pb) / grid.P)[grid.fft_index]
 
 
 def truncated_convolution(u: CoefSeq, v: CoefSeq) -> CoefSeq:
-    """(u v)_k = sum_{m+n=k, |m|,|n| <= K} u_n v_m, truncated to |k| <= K.
+    """:func:`convolve_raw` on coefficient sequences of one grid.
 
-    Computed by zero-padded transforms of size P >= 3K+1, which makes the
-    result the exact truncation of the full convolution (to roundoff).  The
-    product of two real mean-zero fields is Hermitian but generally not
+    The product of two real mean-zero fields is Hermitian but generally not
     mean-zero; the mean stays in the k = 0 slot for the caller to project.
     """
     if u.grid != v.grid:
         raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
-    g = u.grid
-    a = np.fft.ifft(_pad_to_physical(u.coef, g)) * g.P
-    b = np.fft.ifft(_pad_to_physical(v.coef, g)) * g.P
-    spec = np.fft.fft(a * b) / g.P
-    k = g.modes
-    return CoefSeq(g, spec[np.mod(k, g.P)])
-
-
-def convolve_direct(u: CoefSeq, v: CoefSeq) -> CoefSeq:
-    """O(K^2) summation form of :func:`truncated_convolution` (reference path)."""
-    if u.grid != v.grid:
-        raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
-    K = u.grid.K
-    out = np.zeros(u.grid.size, dtype=np.complex128)
-    for k in range(-K, K + 1):
-        n_lo, n_hi = max(-K, k - K), min(K, k + K)
-        n = np.arange(n_lo, n_hi + 1)
-        out[k + K] = np.sum(u.coef[n + K] * v.coef[(k - n) + K])
-    return CoefSeq(u.grid, out)
+    return CoefSeq(u.grid, convolve_raw(u.coef, v.coef, u.grid))
 
 
 def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float) -> CoefSeq:

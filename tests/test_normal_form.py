@@ -5,6 +5,7 @@ from fdkdv.flow import FlowParams, TrajectoryRecord, evolve, step
 from fdkdv.normal_form import (
     NormalFormFrame,
     TripleClass,
+    _resonant_cubic_banded,
     classify_triple,
     nonresonant_cubic,
     normal_form_bilinear,
@@ -25,6 +26,54 @@ def hermitian_state(grid, seed, decay=1.0, scale=1.0):
         c[k + grid.K] = val
         c[-k + grid.K] = np.conj(val)
     return CoefSeq(grid, c)
+
+
+def bilinear_oracle(u, v, t):
+    """(1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2), summed directly."""
+    K = u.grid.K
+    expected = np.zeros(u.grid.size, dtype=np.complex128)
+    for k in range(-K, K + 1):
+        if k == 0:
+            continue
+        acc = 0.0 + 0.0j
+        for k1 in range(-K, K + 1):
+            k2 = k - k1
+            if k1 == 0 or k2 == 0 or abs(k2) > K:
+                continue
+            acc += np.exp(-3j * k * k1 * k2 * t) * u.coef[k1 + K] * v.coef[k2 + K] / (k1 * k2)
+        expected[k + K] = acc / 6.0
+    return expected
+
+
+def cubic_oracle(u, t, band, resonant):
+    """(i/6) sum_{k1+k2+k3=k} e^{-3i t (k1+k2)(k1+k3)(k2+k3)} u_{k1} u_{k2} u_{k3} / k1
+    by triple enumeration over nonzero k_i with k2 + k3 != 0 and
+    |k2 + k3| <= band (None: no band); resonant=True keeps only triples with
+    a vanishing pair sum, False only the others, None all of them."""
+    K = u.grid.K
+    expected = np.zeros(u.grid.size, dtype=np.complex128)
+    for k1 in range(-K, K + 1):
+        for k2 in range(-K, K + 1):
+            for k3 in range(-K, K + 1):
+                if 0 in (k1, k2, k3) or k2 + k3 == 0:
+                    continue
+                if band is not None and abs(k2 + k3) > band:
+                    continue
+                phase = (k1 + k2) * (k1 + k3) * (k2 + k3)
+                if resonant is not None and (phase == 0) != resonant:
+                    continue
+                k = k1 + k2 + k3
+                if k == 0 or abs(k) > K:
+                    continue
+                expected[k + K] += (
+                    (1j / 6.0)
+                    * np.exp(-3j * t * phase)
+                    * u.coef[k1 + K]
+                    * u.coef[k2 + K]
+                    * u.coef[k3 + K]
+                    / k1
+                )
+    return expected
 
 
 class TestThirdAntiderivative:
@@ -113,29 +162,14 @@ class TestNormalFormBilinear:
         assert b.mode(2) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_matches_direct_sum_oracle(self):
-        g = GridSpec(6)
-        u = hermitian_state(g, seed=5)
-        v = hermitian_state(g, seed=6)
-        t = 0.37
-        K = g.K
-        expected = np.zeros(g.size, dtype=np.complex128)
-        for k in range(-K, K + 1):
-            if k == 0:
-                continue
-            acc = 0.0 + 0.0j
-            for k1 in range(-K, K + 1):
-                k2 = k - k1
-                if k1 == 0 or k2 == 0 or abs(k2) > K:
-                    continue
-                acc += (
-                    np.exp(-3j * k * k1 * k2 * t)
-                    * u.coef[k1 + K]
-                    * v.coef[k2 + K]
-                    / (k1 * k2)
-                )
-            expected[k + K] = acc / 6.0
-        got = normal_form_bilinear(u, v, t)
-        assert np.max(np.abs(got.coef - expected)) < 1e-13
+        for K in (1, 6, 17):
+            g = GridSpec(K)
+            u = hermitian_state(g, seed=5)
+            v = hermitian_state(g, seed=6)
+            for t in (0.0, 0.37):
+                for a, b in ((u, v), (u, u)):
+                    got = normal_form_bilinear(a, b, t)
+                    assert np.max(np.abs(got.coef - bilinear_oracle(a, b, t))) < 1e-13, (K, t)
 
     def test_bilinear(self):
         g = GridSpec(12)
@@ -276,32 +310,13 @@ class TestNonresonantCubic:
         assert np.all(nonresonant_cubic(CoefSeq.zeros(GridSpec(4))).coef == 0)
 
     def test_matches_triple_enumeration_oracle(self):
-        g = GridSpec(5)
-        u = hermitian_state(g, seed=13)
         t = 0.41
-        K = g.K
-        expected = np.zeros(g.size, dtype=np.complex128)
-        for k1 in range(-K, K + 1):
-            for k2 in range(-K, K + 1):
-                for k3 in range(-K, K + 1):
-                    if 0 in (k1, k2, k3):
-                        continue
-                    if (k1 + k2) * (k1 + k3) * (k2 + k3) == 0:
-                        continue
-                    k = k1 + k2 + k3
-                    if k == 0 or abs(k) > K:
-                        continue
-                    phase = np.exp(-3j * t * (k1 + k2) * (k2 + k3) * (k3 + k1))
-                    expected[k + K] += (
-                        (1j / 6.0)
-                        * phase
-                        * u.coef[k1 + K]
-                        * u.coef[k2 + K]
-                        * u.coef[k3 + K]
-                        / k1
-                    )
-        got = nonresonant_cubic(u, t)
-        assert np.max(np.abs(got.coef - expected)) < 1e-13
+        for K in (3, 5, 8):
+            u = hermitian_state(GridSpec(K), seed=13)
+            for band in (None, K, K // 2):
+                expected = cubic_oracle(u, t, band, resonant=False)
+                got = nonresonant_cubic(u, t, pair_sum_band=band)
+                assert np.max(np.abs(got.coef - expected)) < 1e-13, (K, band)
 
     def test_cubic_homogeneity(self):
         g = GridSpec(8)
@@ -315,6 +330,22 @@ class TestNonresonantCubic:
     def test_hermitian_preservation(self, t):
         u = hermitian_state(GridSpec(12), seed=15)
         assert nonresonant_cubic(u, t).is_real_field(1e-12)
+
+
+class TestResonantCubicBanded:
+    def test_matches_triple_enumeration_oracle(self):
+        for K in (3, 5, 8):
+            u = hermitian_state(GridSpec(K), seed=17)
+            for band in (0, K // 2, K, 2 * K):
+                expected = cubic_oracle(u, 0.0, band, resonant=True)
+                got = _resonant_cubic_banded(u.coef, band)
+                assert np.max(np.abs(got - expected)) < 1e-14, (K, band)
+
+    def test_cubic_sum_splits_into_resonant_and_nonresonant(self):
+        u = hermitian_state(GridSpec(8), seed=18)
+        full = cubic_oracle(u, 0.0, 8, resonant=None)
+        split = nonresonant_cubic(u, 0.0, pair_sum_band=8).coef + _resonant_cubic_banded(u.coef, 8)
+        assert np.max(np.abs(full - split)) < 1e-14
 
 
 class TestResonantCancellation:
@@ -385,8 +416,6 @@ class TestDifferentialIdentity:
         lhs = dz + gamma * np.exp(-gamma * t) * B(a, a, t).coef - np.exp(-gamma * t) * (
             phase_deriv + 2.0 * B(a, da, t).coef
         )
-
-        from fdkdv.normal_form import _resonant_cubic_banded
 
         rate = CoefSeq(g, dy - gamma * y)
         rhs = (

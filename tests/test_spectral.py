@@ -4,7 +4,7 @@ import pytest
 from fdkdv.spectral import (
     CoefSeq,
     GridSpec,
-    convolve_direct,
+    convolve_raw,
     from_physical,
     next_alias_free_size,
     project_mean_zero,
@@ -99,8 +99,21 @@ class TestConvolution:
             expected[k + K] = acc
         w = truncated_convolution(u, v)
         assert np.max(np.abs(w.coef - expected)) < 1e-12
-        wd = convolve_direct(u, v)
-        assert np.max(np.abs(wd.coef - expected)) < 1e-12
+
+    def test_raw_arrays_without_symmetry(self):
+        # the primitive takes any complex entries, as the twisted operators need
+        K = 5
+        g = GridSpec(K)
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, g.size)) + 1j * rng.normal(size=(2, g.size))
+        expected = [sum(a[n + K] * b[k - n + K] for n in range(-K, K + 1) if abs(k - n) <= K)
+                    for k in range(-K, K + 1)]
+        assert np.max(np.abs(convolve_raw(a, b, g) - expected)) < 1e-13
+
+    def test_same_operand_is_bit_identical_to_a_copy(self):
+        g = GridSpec(16)
+        a = random_field(g, seed=4).coef
+        assert np.array_equal(convolve_raw(a, a, g), convolve_raw(a, a.copy(), g))
 
     def test_bilinear_and_symmetric(self):
         g = GridSpec(12)
