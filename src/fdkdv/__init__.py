@@ -19,6 +19,7 @@ from .flow import (  # noqa: F401
     TrajectoryRecord,
     energy_envelope,
     evolve,
+    evolve_batch,
     linear_flow,
     linear_multiplier,
     rhs,

@@ -18,10 +18,12 @@ import numpy as np
 from . import __version__
 from .flow import (
     FlowParams,
+    StepFailureError,
     TrajectoryRecord,
     default_step,
     energy_envelope,
     evolve,
+    evolve_batch,
     linear_flow,
 )
 from .normal_form import smoothing_gap
@@ -423,13 +425,19 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
     s = cfg.s_values[0]
     radius_ball = 2.0 * f.l2() / cfg.gamma
     report = RunReport("attractor_probe", cfg)
+    members = [
+        random_rough_state(grid, cfg.init_sigma, seed=seed, target_l2=target)
+        for seed, target in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2)
+    ]
+    initial_hs = [sobolev_norm(u0, s) for u0 in members]
+    params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
+    try:
+        trajs = evolve_batch(members, cfg.T, params, sample_every=cfg.sample_stride)
+    except StepFailureError as exc:
+        seed = cfg.ensemble_seeds[exc.member]
+        raise StepFailureError(exc.time, exc.member, f"member seed={seed}") from exc
     radii = {}
-    initial_hs = []
-    for seed, target in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2):
-        u0 = random_rough_state(grid, cfg.init_sigma, seed=seed, target_l2=target)
-        initial_hs.append(sobolev_norm(u0, s))
-        params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
-        traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
+    for seed, target, traj in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2, trajs):
         report.trajectories[f"member_seed{seed}"] = traj
         if f.l2() > 0:
             t_star = first_containment_time(traj, radius_ball)

@@ -11,6 +11,14 @@ and the forcing:
   by contour averaging).  Exact for constant nonlinear load per mode, so the
   saturation error is suppressed by 1/|k^3 h|; required for the smoothing and
   attractor studies on rough data at large K.
+
+The stepper works on half spectra: a real field is carried by its
+coefficients k = 0..K, and a batch of fields sharing (gamma, f, h, scheme)
+is an array of shape (M, K+1) stepped together.  The quadratic term is the
+real-transform square :func:`~fdkdv.spectral.square_half`; the negative
+modes are rebuilt by conjugation only when a :class:`CoefSeq` is made.  A
+single run is a batch of one, and each member of a batch is bit-identical to
+its solo run.
 """
 
 from __future__ import annotations
@@ -19,15 +27,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import CoefSeq, GridSpec, convolve_raw, sobolev_norm
+# sobolev_norm stays bound here: the traced benchmark (bench/tracing.py)
+# patches it on this module.
+from .spectral import CoefSeq, GridSpec, sobolev_norm, square_half  # noqa: F401
 
 
 class StepFailureError(RuntimeError):
-    """Non-finite state encountered while stepping (blow-up or h too large)."""
+    """Non-finite state encountered while stepping (blow-up or h too large).
 
-    def __init__(self, time: float):
-        super().__init__(f"non-finite state at t = {time:.6g}; reduce the step size")
+    `member` is the index of the failing state in its batch (0 for a single
+    run); `label` names it in the message.
+    """
+
+    def __init__(self, time: float, member: int = 0, label: str = ""):
+        who = f" of {label}" if label else ""
+        super().__init__(f"non-finite state{who} at t = {time:.6g}; reduce the step size")
         self.time = time
+        self.member = member
 
 
 SCHEMES = ("ifrk4", "etdrk4")
@@ -137,24 +153,6 @@ def linear_flow(u0: CoefSeq, t: float, gamma: float) -> CoefSeq:
     return u0.with_coef(u0.coef * linear_multiplier(u0.grid.modes, t, gamma))
 
 
-def _nonlinear_raw(coef: np.ndarray, params: FlowParams, k: np.ndarray) -> np.ndarray:
-    """Quadratic + forcing part of du/dt on raw arrays (k = 0 forced to zero)."""
-    out = np.zeros_like(coef)
-    if params.include_nonlinear:
-        out = -0.5j * k * convolve_raw(coef, coef, params.grid)
-    out = out + params.forcing.coef
-    out[params.grid.K] = 0.0
-    return out
-
-
-def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
-    """du_k/dt = (i k^3 - gamma) u_k - (i k / 2)(u*u)_k + f_k, k != 0."""
-    k = u.grid.modes.astype(np.float64)
-    d = (1j * k**3 - params.gamma) * u.coef + _nonlinear_raw(u.coef, params, k)
-    d[u.grid.K] = 0.0
-    return u.with_coef(d)
-
-
 def _etdrk4_coeffs(lam: np.ndarray, h: float, contour_points: int = 32):
     """Cox-Matthews stage weights, evaluated by averaging over a unit contour
     around each lambda*h (the phi functions are entire, so the circle mean is
@@ -171,51 +169,89 @@ def _etdrk4_coeffs(lam: np.ndarray, h: float, contour_points: int = 32):
 
 
 class _Stepper:
-    """Precomputed one-step kernel for a fixed (params, h)."""
+    """Precomputed one-step kernel for a fixed (params, h), acting on half
+    spectra of shape (M, K+1): modes k = 0..K, one row per batch member.
+    The k = 0 slot of every output is zero."""
 
     def __init__(self, params: FlowParams, h: float):
         self.params = params
         self.h = h
-        self.k = params.grid.modes.astype(np.float64)
-        lam = 1j * self.k**3 - params.gamma
-        self.E = np.exp(lam * (h / 2.0))
-        self.E2 = np.exp(lam * h)
+        K = params.grid.K
+        k = np.arange(K + 1, dtype=np.float64)
+        self.lam = 1j * k**3 - params.gamma
+        self.convect = -0.5j * k
+        self.forcing = params.forcing.coef[K:]
+        self.E = np.exp(self.lam * (h / 2.0))
+        self.E2 = np.exp(self.lam * h)
         if params.scheme == "etdrk4":
-            self.Q, self.f1, self.f2, self.f3 = _etdrk4_coeffs(lam, h)
+            self.Q, self.f1, self.f2, self.f3 = _etdrk4_coeffs(self.lam, h)
+            self._step = self._etdrk4
+        else:
+            self._step = self._ifrk4
 
-    def __call__(self, coef: np.ndarray) -> np.ndarray:
-        if self.params.scheme == "etdrk4":
-            return self._etdrk4(coef)
-        return self._ifrk4(coef)
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k; zero
+        at k = 0 because f is mean-zero."""
+        if not self.params.include_nonlinear:
+            return np.broadcast_to(self.forcing, c.shape)
+        return self.convect * square_half(c, self.params.grid) + self.forcing
 
-    def _ifrk4(self, coef):
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        out = self._step(c)
+        out[:, 0] = 0.0
+        return out
+
+    def _ifrk4(self, c):
         # state multiplies the factor from the left throughout so that the
         # pure semigroup case reproduces linear_flow bit for bit
-        params, k, h, E, E2 = self.params, self.k, self.h, self.E, self.E2
-        n1 = _nonlinear_raw(coef, params, k)
-        u2 = (coef + (h / 2.0) * n1) * E
-        n2 = _nonlinear_raw(u2, params, k)
-        u3 = coef * E + (h / 2.0) * n2
-        n3 = _nonlinear_raw(u3, params, k)
-        u4 = coef * E2 + h * (n3 * E)
-        n4 = _nonlinear_raw(u4, params, k)
-        out = coef * E2 + (h / 6.0) * (n1 * E2 + 2.0 * ((n2 + n3) * E) + n4)
-        out[params.grid.K] = 0.0
-        return out
+        N, h, E, E2 = self.nonlinear, self.h, self.E, self.E2
+        cE2 = c * E2
+        n1 = N(c)
+        n2 = N((c + (h / 2.0) * n1) * E)
+        n3 = N(c * E + (h / 2.0) * n2)
+        n4 = N(cE2 + h * (n3 * E))
+        return cE2 + (h / 6.0) * (n1 * E2 + 2.0 * ((n2 + n3) * E) + n4)
 
-    def _etdrk4(self, coef):
-        params, k = self.params, self.k
-        half, full = self.E, self.E2
-        n0 = _nonlinear_raw(coef, params, k)
-        a = coef * half + self.Q * n0
-        na = _nonlinear_raw(a, params, k)
-        b = coef * half + self.Q * na
-        nb = _nonlinear_raw(b, params, k)
-        c = a * half + self.Q * (2.0 * nb - n0)
-        nc = _nonlinear_raw(c, params, k)
-        out = coef * full + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
-        out[params.grid.K] = 0.0
-        return out
+    def _etdrk4(self, c):
+        N, half, Q = self.nonlinear, self.E, self.Q
+        ch = c * half
+        n0 = N(c)
+        a = ch + Q * n0
+        na = N(a)
+        nb = N(ch + Q * na)
+        nc = N(a * half + Q * (2.0 * nb - n0))
+        return c * self.E2 + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+
+
+def _half(u: CoefSeq, grid: GridSpec) -> np.ndarray:
+    """Coefficients k = 0..K of a real field on `grid`."""
+    if u.grid != grid:
+        raise ValueError(f"grid mismatch: {u.grid} vs {grid}")
+    if not u.is_real_field():
+        raise ValueError("the flow acts on real fields (Hermitian coefficients)")
+    return u.coef[grid.K :]
+
+
+def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
+    """Per-member sum_{k >= 1} |c_k|^2 of a half-spectrum batch (half the
+    squared l2 norm).  A non-finite state gives a non-finite sum, so this is
+    also the solver's finiteness check: it raises StepFailureError naming the
+    first failing member and the time t."""
+    v = c[:, 1:].view(np.float64)
+    sq = np.einsum("ij,ij->i", v, v)
+    if not np.isfinite(sq).all():
+        m = int(np.argmin(np.isfinite(sq)))
+        raise StepFailureError(t, m, f"batch member {m}" if len(c) > 1 else "")
+    return sq
+
+
+def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
+    """du_k/dt = (i k^3 - gamma) u_k - (i k / 2)(u*u)_k + f_k, k != 0."""
+    kernel = _Stepper(params, params.h)
+    c = _half(u, params.grid)[None, :]
+    d = kernel.lam * c + kernel.nonlinear(c)
+    d[:, 0] = 0.0
+    return CoefSeq.from_half(params.grid, d[0])
 
 
 def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> CoefSeq:
@@ -226,25 +262,30 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
     switched off the ifrk4 step reproduces :func:`linear_flow` to the bit.
     """
     h = params.h if h is None else h
-    out = _Stepper(params, h)(u.coef)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise StepFailureError(t + h)
-    return u.with_coef(out)
+    out = _Stepper(params, h)(_half(u, params.grid)[None, :])
+    _half_sq_norms(out, t + h)
+    return CoefSeq.from_half(params.grid, out[0])
 
 
-def evolve(u0: CoefSeq, T: float, params: FlowParams, sample_every: int = 1) -> TrajectoryRecord:
-    """March from t = 0 to T, recording every sample_every-th state.
+def evolve_batch(
+    u0s, T: float, params: FlowParams, sample_every: int = 1
+) -> tuple[TrajectoryRecord, ...]:
+    """March every initial state in u0s from t = 0 to T under one shared
+    params, as one batch; one TrajectoryRecord per member, in order.
 
-    The last step is shortened to land on T exactly; the final state is
-    always recorded.  Deterministic: pure function of (u0, T, params).
+    Each member's record is bit-identical to its :func:`evolve` run.  A
+    non-finite member stops the whole batch with StepFailureError carrying
+    the time and the member's index.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    u0s = tuple(u0s)
+    if not u0s:
+        raise ValueError("evolve_batch needs at least one initial state")
     h = params.h
     g = params.grid
-    kernel = _Stepper(params, h)
 
     n_full = int(np.floor(T / h + 1e-9))
     h_last = T - n_full * h
@@ -252,32 +293,47 @@ def evolve(u0: CoefSeq, T: float, params: FlowParams, sample_every: int = 1) -> 
         h_last = 0.0
 
     times = [0.0]
-    states = [u0]
-    dense_t = [0.0]
-    dense_n = [float(np.sqrt(np.sum(np.abs(u0.coef) ** 2)))]
-    coef = u0.coef.copy()
+    states = [[u0] for u0 in u0s]
+
+    def record(t, c):
+        times.append(t)
+        for member, row in zip(states, c):
+            member.append(CoefSeq.from_half(g, row))
+
+    coef = np.stack([_half(u, g) for u in u0s])
+    sq = np.empty((n_full + 1 + (h_last > 0.0), len(u0s)))
+    sq[0] = _half_sq_norms(coef, 0.0)
+    kernel = _Stepper(params, h)
     for i in range(1, n_full + 1):
         coef = kernel(coef)
-        if not np.all(np.isfinite(coef.view(np.float64))):
-            raise StepFailureError(i * h)
-        dense_t.append(i * h)
-        dense_n.append(float(np.sqrt(np.sum(np.abs(coef) ** 2))))
+        sq[i] = _half_sq_norms(coef, i * h)
         if i % sample_every == 0 and not (i == n_full and h_last == 0.0):
-            times.append(i * h)
-            states.append(CoefSeq(g, coef))
+            record(i * h, coef)
+    dense_t = np.arange(n_full + 1) * h
     if h_last > 0.0:
         coef = _Stepper(params, h_last)(coef)
-        if not np.all(np.isfinite(coef.view(np.float64))):
-            raise StepFailureError(T)
-        dense_t.append(T)
-        dense_n.append(float(np.sqrt(np.sum(np.abs(coef) ** 2))))
-    times.append(T)
-    states.append(CoefSeq(g, coef))
-    return TrajectoryRecord(
-        times=np.array(times), states=tuple(states),
-        gamma=params.gamma, forcing_l2=params.forcing.l2(),
-        dense_times=np.array(dense_t), dense_l2=np.array(dense_n),
+        sq[-1] = _half_sq_norms(coef, T)
+        dense_t = np.append(dense_t, T)
+    record(T, coef)
+
+    return tuple(
+        TrajectoryRecord(
+            times=np.array(times), states=tuple(member),
+            gamma=params.gamma, forcing_l2=params.forcing.l2(),
+            dense_times=dense_t.copy(), dense_l2=np.sqrt(2.0 * sq[:, m]),
+        )
+        for m, member in enumerate(states)
     )
+
+
+def evolve(u0: CoefSeq, T: float, params: FlowParams, sample_every: int = 1) -> TrajectoryRecord:
+    """March from t = 0 to T, recording every sample_every-th state.
+
+    The last step is shortened to land on T exactly; the final state is
+    always recorded.  Deterministic: pure function of (u0, T, params).  A
+    batch of one of :func:`evolve_batch`.
+    """
+    return evolve_batch((u0,), T, params, sample_every)[0]
 
 
 def energy_envelope(t: float, u0_l2: float, f_l2: float, gamma: float) -> float:
@@ -291,7 +347,3 @@ def energy_envelope(t: float, u0_l2: float, f_l2: float, gamma: float) -> float:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return float(np.exp(-gamma * t) * u0_l2 + (f_l2 / gamma) * (1.0 - np.exp(-gamma * t)))
-
-
-def hs_norms(traj: TrajectoryRecord, s: float) -> np.ndarray:
-    return np.array([sobolev_norm(u, s) for u in traj.states])

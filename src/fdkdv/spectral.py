@@ -3,6 +3,11 @@
 A field u(x) = sum_k u_k e^{ikx} is stored as the complex coefficient vector
 for k = -K..K.  Real fields satisfy u_{-k} = conj(u_k); mean-zero fields have
 u_0 = 0.  All norms are sequence norms: ||u||^2 = sum_{k != 0} |u_k|^2.
+
+Two product kernels work on raw arrays: :func:`convolve_raw` on full -K..K
+arrays with any complex entries (the twisted operands of the normal-form
+operators), and :func:`square_half` on half spectra k = 0..K of real fields
+(the flow's quadratic term), which needs only real transforms.
 """
 
 from __future__ import annotations
@@ -115,6 +120,15 @@ class CoefSeq:
             return 0.0 + 0.0j
         return complex(self.coef[k + self.grid.K])
 
+    @classmethod
+    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "CoefSeq":
+        """Real field from its coefficients k = 0..K; the negative side is
+        rebuilt by conjugation, so the result is exactly Hermitian."""
+        c = np.empty(grid.size, dtype=np.complex128)
+        c[grid.K :] = half
+        c[: grid.K] = np.conj(half[: 0 : -1])
+        return cls(grid, c)
+
     def with_coef(self, coef: np.ndarray) -> "CoefSeq":
         return CoefSeq(self.grid, coef)
 
@@ -197,6 +211,19 @@ def convolve_raw(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     pa = np.fft.ifft(_pad_to_physical(a, grid)) * grid.P
     pb = pa if b is a else np.fft.ifft(_pad_to_physical(b, grid)) * grid.P
     return (np.fft.fft(pa * pb) / grid.P)[grid.fft_index]
+
+
+def square_half(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u u)_k for k = 0..K, where u is the real field whose coefficients
+    k = 0..K are the last axis of c (shape (..., K+1); leading axes are a
+    batch).
+
+    Same zero padding to P >= 3K+1 as :func:`convolve_raw`, so the result is
+    the exact truncation of u*u, but through real transforms of the real
+    field.  The imaginary part of c[..., 0] is ignored.
+    """
+    vals = np.fft.irfft(c, n=grid.P, norm="forward")
+    return np.fft.rfft(vals * vals, norm="forward")[..., : grid.K + 1]
 
 
 def truncated_convolution(u: CoefSeq, v: CoefSeq) -> CoefSeq:

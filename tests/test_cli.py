@@ -118,6 +118,19 @@ class TestDispatch:
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_attractor_solver_failure_names_time_and_seed(self, tmp_path, capsys):
+        # h = 0.01 is far past IFRK4's saturation limit on the sigma = 1.2
+        # members; the largest one (seed 14, l2 = 4) fails first
+        code = run_cli(
+            "attractor", "--out", str(tmp_path), "--quiet",
+            "--set", "T=10", "--set", "gamma=1.0", "--set", "scheme=ifrk4", "--set", "h=0.01",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "seed=14" in err
+        assert re.search(r"at t = \d", err)
+
     def test_verify_identities_smoke(self, tmp_path):
         code = run_cli(
             "verify-identities", "--out", str(tmp_path), "--quiet",

@@ -4,15 +4,17 @@ import pytest
 from fdkdv.flow import (
     FlowParams,
     StepFailureError,
+    _etdrk4_coeffs,
     default_step,
     energy_envelope,
     evolve,
+    evolve_batch,
     linear_flow,
     linear_multiplier,
     rhs,
     step,
 )
-from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state
+from fdkdv.spectral import CoefSeq, GridSpec, convolve_raw, random_rough_state
 
 
 def cos_params(K=32, gamma=1.0, h=1e-3, **kw):
@@ -242,6 +244,143 @@ class TestEtdrk4Scheme:
         g = GridSpec(8)
         with pytest.raises(ValueError):
             FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), scheme="rk4")
+
+
+# Full-spectrum oracle: the flow on raw -K..K arrays, with the quadratic term
+# from convolve_raw and both schemes written out.
+def full_nonlinear(coef, params):
+    k = params.grid.modes.astype(np.float64)
+    out = -0.5j * k * convolve_raw(coef, coef, params.grid) + params.forcing.coef
+    out[params.grid.K] = 0.0
+    return out
+
+
+def full_rhs(coef, params):
+    k = params.grid.modes.astype(np.float64)
+    d = (1j * k**3 - params.gamma) * coef + full_nonlinear(coef, params)
+    d[params.grid.K] = 0.0
+    return d
+
+
+def full_step(coef, params, h):
+    k = params.grid.modes.astype(np.float64)
+    lam = 1j * k**3 - params.gamma
+    E, E2 = np.exp(lam * (h / 2.0)), np.exp(lam * h)
+
+    def N(c):
+        return full_nonlinear(c, params)
+
+    if params.scheme == "ifrk4":
+        n1 = N(coef)
+        n2 = N((coef + (h / 2.0) * n1) * E)
+        n3 = N(coef * E + (h / 2.0) * n2)
+        n4 = N(coef * E2 + h * (n3 * E))
+        out = coef * E2 + (h / 6.0) * (n1 * E2 + 2.0 * ((n2 + n3) * E) + n4)
+    else:
+        Q, f1, f2, f3 = _etdrk4_coeffs(lam, h)
+        n0 = N(coef)
+        a = coef * E + Q * n0
+        na = N(a)
+        nb = N(coef * E + Q * na)
+        nc = N(a * E + Q * (2.0 * nb - n0))
+        out = coef * E2 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+    out[params.grid.K] = 0.0
+    return out
+
+
+def rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def assert_exact_real_mean_zero(u):
+    assert u.hermitian_defect() == 0.0
+    assert u.mode(0) == 0.0
+
+
+def rough_sigma(K, scheme):
+    # IFRK4 saturates on sigma = 1.2 data at K = 128 (it blows up near
+    # t = 0.2), so that case runs on smoother data
+    return 2.5 if (K, scheme) == (128, "ifrk4") else 1.2
+
+
+class TestHalfSpectrumOracle:
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("K", [8, 33, 128])
+    def test_step_rhs_evolve_match_full_spectrum(self, K, scheme):
+        g = GridSpec(K)
+        f = random_rough_state(g, 2.0, seed=3, target_l2=0.8)
+        params = FlowParams(gamma=0.6, forcing=f, h=1e-3, scheme=scheme)
+        u0 = random_rough_state(g, rough_sigma(K, scheme), seed=4, target_l2=1.5)
+        t = 0.05
+        u = evolve(u0, t, params, sample_every=10**9).states[-1]
+
+        out = step(u, t, params)
+        assert rel_err(out.coef, full_step(u.coef, params, params.h)) <= 1e-13
+        assert_exact_real_mean_zero(out)
+
+        d = rhs(u, params)
+        assert rel_err(d.coef, full_rhs(u.coef, params)) <= 1e-13
+        assert_exact_real_mean_zero(d)
+
+        # twelve full steps and a shortened last one
+        traj = evolve(u, 12.5 * params.h, params, sample_every=4)
+        ref = u.coef
+        for _ in range(12):
+            ref = full_step(ref, params, params.h)
+        ref = full_step(ref, params, 0.5 * params.h)
+        assert rel_err(traj.states[-1].coef, ref) <= 1e-13
+        for state in traj.states[1:]:
+            assert_exact_real_mean_zero(state)
+
+
+class TestEvolveBatch:
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("K", [17, 64, 128])
+    def test_members_bit_identical_to_solo_runs(self, K, scheme):
+        g = GridSpec(K)
+        params = FlowParams(gamma=0.5, forcing=CoefSeq.cosine(g), h=1e-3, scheme=scheme)
+        members = [
+            random_rough_state(g, rough_sigma(K, scheme), seed=seed, target_l2=l2)
+            for seed, l2 in zip((11, 12, 13, 14), (0.5, 1.0, 2.0, 4.0))
+        ]
+        batch = evolve_batch(members, 0.1505, params, sample_every=37)
+        assert len(batch) == len(members)
+        for u0, got in zip(members, batch):
+            solo = evolve(u0, 0.1505, params, sample_every=37)
+            assert np.array_equal(got.times, solo.times)
+            assert np.array_equal(got.dense_times, solo.dense_times)
+            assert np.array_equal(got.dense_l2, solo.dense_l2)
+            assert len(got.states) == len(solo.states)
+            assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.states, solo.states))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_member_at_its_solo_time(self):
+        g = GridSpec(16)
+        params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=0.05)
+        members = [
+            CoefSeq.cosine(g, amplitude=0.1),
+            CoefSeq.cosine(g, amplitude=1e3),
+            random_rough_state(g, 2.0, seed=3, target_l2=0.2),
+        ]
+        for i in (0, 2):  # the other members survive the whole run on their own
+            evolve(members[i], 2.0, params)
+        with pytest.raises(StepFailureError) as solo:
+            evolve(members[1], 2.0, params)
+        with pytest.raises(StepFailureError) as batch:
+            evolve_batch(members, 2.0, params)
+        assert batch.value.member == 1
+        assert batch.value.time == solo.value.time
+        assert "member 1" in str(batch.value)
+
+    def test_rejects_bad_input(self):
+        g = GridSpec(8)
+        params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=1e-2)
+        with pytest.raises(ValueError):
+            evolve_batch((), 0.1, params)
+        with pytest.raises(ValueError):
+            evolve_batch((CoefSeq.cosine(GridSpec(9)),), 0.1, params)
+        with pytest.raises(ValueError):
+            evolve_batch((CoefSeq.from_modes(g, {1: 1.0}),), 0.1, params)
 
 
 class TestEnergyEnvelope:

@@ -10,6 +10,7 @@ from fdkdv.spectral import (
     project_mean_zero,
     random_rough_state,
     sobolev_norm,
+    square_half,
     to_physical,
     truncated_convolution,
 )
@@ -133,6 +134,25 @@ class TestConvolution:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             truncated_convolution(CoefSeq.cosine(GridSpec(8)), CoefSeq.cosine(GridSpec(9)))
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("K", [1, 8, 33])
+    def test_square_matches_full_convolution_per_member(self, K):
+        g = GridSpec(K)
+        fields = [random_field(g, seed) for seed in (10, 11, 12)]
+        got = square_half(np.stack([u.coef[K:] for u in fields]), g)
+        assert got.shape == (3, K + 1)
+        for u, row in zip(fields, got):
+            full = convolve_raw(u.coef, u.coef, g)
+            assert np.max(np.abs(row - full[K:])) < 1e-13
+
+    def test_from_half_rebuilds_the_full_field(self):
+        g = GridSpec(16)
+        u = random_field(g, 13)
+        v = CoefSeq.from_half(g, u.coef[g.K :])
+        assert np.array_equal(v.coef, u.coef)
+        assert v.hermitian_defect() == 0.0
 
 
 class TestProjectMeanZero:
