@@ -24,7 +24,6 @@ from .experiments import (
     default_kdv_limit_config,
     default_residual_configs,
     default_smoothing_config,
-    forcing_for,
     run_absorbing_ball,
     run_attractor_probe,
     run_constant_estimates,
@@ -60,7 +59,7 @@ def write_trajectory_csv(traj: TrajectoryRecord, path, s_values=(0.5,)) -> None:
     """Columns: t, l2_norm, envelope, then hs_gap_s{s} and hs_norm_s{s} for
     each requested s; all floats carry 17 significant digits."""
     s_values = tuple(s_values)
-    u0 = traj.initial_state()
+    u0 = traj.states[0]
     header = ["t", "l2_norm", "envelope"]
     for s in s_values:
         header += [f"hs_gap_s{s:g}", f"hs_norm_s{s:g}"]
@@ -72,7 +71,7 @@ def write_trajectory_csv(traj: TrajectoryRecord, path, s_values=(0.5,)) -> None:
             _fmt(_envelope_value(float(t), traj.l2_norms[0], traj.forcing_l2, traj.gamma)),
         ]
         for s in s_values:
-            row.append(_fmt(smoothing_gap(u0, traj, float(t), s)))
+            row.append(_fmt(smoothing_gap(u0, state, float(t), traj.gamma, s)))
             row.append(_fmt(sobolev_norm(state, s)))
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -277,9 +276,9 @@ def cmd_envelope(args) -> int:
     out = _out_dir(args)
     reports = [run_energy_envelope(cfg)]
     _emit(reports[0], out, args.quiet, {"trajectory": "trajectory.csv"})
-    if forcing_for(cfg).l2() > 0:
+    if reports[0].measured["forcing_l2"] > 0:
         try:
-            reports.append(run_absorbing_ball(cfg))
+            reports.append(run_absorbing_ball(reports[0]))
             _emit(reports[1], out, args.quiet, {"trajectory": "absorbing.csv"})
         except HorizonError as exc:
             reports.append(_horizon_failure("absorbing_ball", cfg, exc))

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .flow import (
+    SCHEMES,
     FlowParams,
     StepFailureError,
     TrajectoryRecord,
@@ -24,7 +25,6 @@ from .flow import (
     energy_envelope,
     evolve,
     evolve_batch,
-    linear_flow,
 )
 from .normal_form import smoothing_gap
 from .spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
@@ -95,6 +95,14 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_k < 1:
             raise ConfigError(f"grid.K must be >= 1, got {self.grid_k}")
+        if self.grid_p != 0 and self.grid_p < 3 * self.grid_k + 1:
+            raise ConfigError(f"grid.p must be 0 (automatic) or >= 3*grid.k+1, got {self.grid_p}")
+        if self.gamma <= 0:
+            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if self.h < 0:
+            raise ConfigError(f"h must be positive (0 picks the default step), got {self.h}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {'|'.join(SCHEMES)}, got {self.scheme!r}")
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.sample_stride < 1:
@@ -102,8 +110,10 @@ class RunConfig:
         for p, key in ((self.forcing_profile, "forcing.profile"), (self.init_profile, "init.profile")):
             if p not in ("cosine", "random", "zero"):
                 raise ConfigError(f"{key} must be cosine|random|zero, got {p!r}")
-        if any(s < 0 for s in self.s_values):
-            raise ConfigError("s values must be >= 0")
+        if not self.s_values or any(s < 0 for s in self.s_values):
+            raise ConfigError(f"s.values must be nonempty with every s >= 0, got {self.s_values}")
+        if len(set(self.ladder_k)) != len(self.ladder_k) or any(K < 1 for K in self.ladder_k):
+            raise ConfigError(f"ladder.k must hold distinct K >= 1, got {self.ladder_k}")
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_k, self.grid_p)
@@ -201,7 +211,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def check(self, name: str, measured: float, tolerance: float, *, op: str = "le"):
         ok = measured <= tolerance if op == "le" else measured >= tolerance
@@ -249,16 +259,17 @@ def run_energy_envelope(cfg: RunConfig) -> RunReport:
     params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
     traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
 
-    env = np.array([energy_envelope(t, u0.l2(), f.l2(), cfg.gamma) for t in traj.dense_times])
+    u0_l2, f_l2 = u0.l2(), f.l2()
+    env = np.array([energy_envelope(t, u0_l2, f_l2, cfg.gamma) for t in traj.dense_times])
     violation = float(np.max(traj.dense_l2 - env))
     report = RunReport("energy_envelope", cfg, trajectories={"trajectory": traj})
     report.check("envelope_violation", violation, ENVELOPE_TOL)
     report.measured["max_envelope_violation"] = violation
-    report.measured["u0_l2"] = u0.l2()
-    report.measured["forcing_l2"] = f.l2()
+    report.measured["u0_l2"] = u0_l2
+    report.measured["forcing_l2"] = f_l2
 
-    ball_radius = f.l2() / cfg.gamma if cfg.gamma > 0 else np.inf
-    if f.l2() > 0 and u0.l2() <= ball_radius + 1e-12:
+    ball_radius = f_l2 / cfg.gamma
+    if f_l2 > 0 and u0_l2 <= ball_radius + 1e-12:
         ball_violation = float(np.max(traj.dense_l2) - ball_radius)
         report.check("ball_invariance_violation", ball_violation, ENVELOPE_TOL)
         report.measured["ball_radius"] = ball_radius
@@ -274,26 +285,25 @@ def predicted_absorption_time(u0_l2: float, f_l2: float, gamma: float) -> float:
     return float(np.log((u0_l2 - radius) / radius) / gamma)
 
 
-def run_absorbing_ball(cfg: RunConfig) -> RunReport:
-    """Measure the first time after which the norm stays below 2||f||/gamma
-    and compare against the envelope prediction."""
+def run_absorbing_ball(envelope: RunReport) -> RunReport:
+    """Judge the trajectory of an energy-envelope run, without integrating:
+    measure the first time after which its norm stays below 2||f||/gamma and
+    compare against the envelope prediction."""
     t0 = time.perf_counter()
-    grid = cfg.grid()
-    f = forcing_for(cfg, grid)
-    if f.l2() == 0.0:
+    if envelope.experiment != "energy_envelope":
+        raise ConfigError(f"absorbing ball reads energy_envelope reports, not {envelope.experiment!r}")
+    cfg, traj = envelope.config, envelope.trajectories["trajectory"]
+    if traj.forcing_l2 == 0.0:
         raise ConfigError("absorbing-ball experiment needs nonzero forcing")
-    u0 = initial_state_for(cfg, grid)
-    params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
-    traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
 
-    radius = 2.0 * f.l2() / cfg.gamma
+    radius = 2.0 * traj.forcing_l2 / cfg.gamma
     t_star = first_containment_time(traj, radius)
     if t_star is None:
         raise HorizonError(
             f"horizon T={cfg.T} too short: trajectory has not settled under "
             f"2||f||/gamma = {radius:.6g}"
         )
-    t_pred = predicted_absorption_time(u0.l2(), f.l2(), cfg.gamma)
+    t_pred = predicted_absorption_time(traj.l2_norms[0], traj.forcing_l2, cfg.gamma)
     report = RunReport("absorbing_ball", cfg, trajectories={"trajectory": traj})
     report.check("absorption_time", t_star, t_pred + cfg.step_size())
     report.measured.update(
@@ -357,14 +367,13 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         i0 = int(np.argmin(np.abs(traj.times - t_restart)))
         u_restart = traj.states[i0]
         rung = {"u0_hs": {}, "gap_sup": {}, "restart_gap_sup": {}}
+        samples = list(zip(traj.times, traj.states))
         for s in cfg.s_values:
-            gaps = [smoothing_gap(u0, traj, float(t), s) for t in traj.times]
-            restart = []
-            for j in range(i0, len(traj.states)):
-                tau = float(traj.times[j] - traj.times[i0])
-                lin = linear_flow(u_restart, tau, cfg.gamma)
-                diff = traj.states[j].with_coef(traj.states[j].coef - lin.coef)
-                restart.append(sobolev_norm(diff, s))
+            gaps = [smoothing_gap(u0, u, float(t), cfg.gamma, s) for t, u in samples]
+            restart = [
+                smoothing_gap(u_restart, u, float(t - traj.times[i0]), cfg.gamma, s)
+                for t, u in samples[i0:]
+            ]
             rung["u0_hs"][s] = sobolev_norm(u0, s)
             rung["gap_sup"][s] = float(np.max(gaps))
             rung["restart_gap_sup"][s] = float(np.max(restart))
@@ -531,10 +540,7 @@ def envelope_suite(configs: tuple[RunConfig, ...] = DEFAULT_ENVELOPE_SUITE) -> l
     """Run the envelope check on every config and the absorbing-ball check on
     every forced config."""
     reports = [run_energy_envelope(cfg) for cfg in configs]
-    for cfg in configs:
-        if forcing_for(cfg).l2() > 0:
-            reports.append(run_absorbing_ball(cfg))
-    return reports
+    return reports + [run_absorbing_ball(r) for r in reports if r.measured["forcing_l2"] > 0]
 
 
 def stencil_trajectory(u0: CoefSeq, params: FlowParams, t: float, dt: float) -> TrajectoryRecord:

@@ -138,9 +138,6 @@ class TrajectoryRecord:
             raise KeyError(f"no sample at t = {t:.9g} (nearest: {self.times[i]:.9g})")
         return self.states[i]
 
-    def initial_state(self) -> CoefSeq:
-        return self.states[0]
-
 
 def linear_multiplier(k, t: float, gamma: float):
     """exp((i k^3 - gamma) t): the exact damped Airy factor for mode k."""

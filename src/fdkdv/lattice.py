@@ -222,12 +222,11 @@ def reduced_multiplier_sup(budget: LatticeBudget):
 
 def _random_hermitian(grid: GridSpec, rng: np.random.Generator) -> CoefSeq:
     decay = rng.uniform(0.0, 1.5)
-    c = np.zeros(grid.size, dtype=np.complex128)
-    for k in range(1, grid.K + 1):
-        val = (rng.normal() + 1j * rng.normal()) * k**-decay
-        c[k + grid.K] = val
-        c[-k + grid.K] = np.conj(val)
-    return CoefSeq(grid, c)
+    z = rng.normal(size=(grid.K, 2))
+    half = np.zeros(grid.K + 1, dtype=np.complex128)
+    # scalar powers: numpy's array power can differ from them in the last bit
+    half[1:] = (z[:, 0] + 1j * z[:, 1]) * np.array([k**-decay for k in range(1, grid.K + 1)])
+    return CoefSeq.from_half(grid, half)
 
 
 def _bilinear_ratio(u: CoefSeq, v: CoefSeq, s: float) -> float:

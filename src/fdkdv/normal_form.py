@@ -309,12 +309,12 @@ def normal_form_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def smoothing_gap(u0: CoefSeq, traj: TrajectoryRecord, t: float, s: float) -> float:
-    """||u(t) - e^{-gamma t} e^{t L} u0||_{H^s}: the nonlinear remainder norm.
+def smoothing_gap(u0: CoefSeq, u: CoefSeq, t: float, gamma: float, s: float) -> float:
+    """||u - e^{-gamma t} e^{t L} u0||_{H^s} for the state u at time t of the
+    run from u0: the nonlinear remainder norm.
 
     Measures how much smoother the solution is than its damped Airy
-    evolution; gamma is taken from the trajectory.
+    evolution.
     """
-    u = traj.state_at(t)
-    lin = linear_flow(u0, t, traj.gamma)
+    lin = linear_flow(u0, t, gamma)
     return sobolev_norm(u.with_coef(u.coef - lin.coef), s)

@@ -249,12 +249,10 @@ def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float
         raise ValueError(f"sigma must exceed 1/2, got {sigma}")
     if target_l2 <= 0:
         raise ValueError(f"target_l2 must be positive, got {target_l2}")
-    rng = np.random.default_rng(seed)
-    c = np.zeros(grid.size, dtype=np.complex128)
-    for k in range(1, grid.K + 1):
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        val = k ** (-sigma) * np.exp(1j * phase)
-        c[k + grid.K] = val
-        c[-k + grid.K] = np.conj(val)
-    raw = CoefSeq(grid, c)
-    return raw.with_coef(c * (target_l2 / raw.l2()))
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=grid.K)
+    half = np.zeros(grid.K + 1, dtype=np.complex128)
+    # scalar powers: numpy's array power can differ from them in the last bit
+    decay = np.array([k**-sigma for k in range(1, grid.K + 1)])
+    half[1:] = decay * np.exp(1j * phases)
+    raw = CoefSeq.from_half(grid, half)
+    return raw.with_coef(raw.coef * (target_l2 / raw.l2()))

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import fdkdv.experiments
 from fdkdv.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -106,6 +107,40 @@ class TestDispatch:
         assert code == EXIT_OK
         assert (tmp_path / "report_energy_envelope.json").exists()
         assert (tmp_path / "report_absorbing_ball.json").exists()
+
+    def test_envelope_integrates_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(fdkdv.experiments, "evolve", counting_evolve)
+        code = run_cli(
+            "envelope", "--out", str(tmp_path), "--quiet",
+            "--set", "grid.k=16", "--set", "T=1.0",
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        # the absorbing-ball verdict reads the envelope run's trajectory
+        absorbing = (tmp_path / "absorbing.csv").read_bytes()
+        assert absorbing == (tmp_path / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, override", [
+        ("envelope", "gamma=0"),
+        ("attractor", "gamma=0"),
+        ("kdv-limit", "gamma=0"),
+        ("simulate", "scheme=rk4"),
+        ("simulate", "grid.p=5"),
+        ("simulate", "h=-1"),
+        ("attractor", "s.values=[]"),
+        ("smoothing", "s.values=[]"),
+        ("smoothing", "ladder.k=[64,64,64]"),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
+        code = run_cli(command, "--out", str(tmp_path), "--quiet", "--set", override)
+        assert code == EXIT_CONFIG
+        assert override.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_code(self, tmp_path, capsys):

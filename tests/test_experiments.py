@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import fdkdv.experiments
 from fdkdv.experiments import (
     DEFAULT_ENVELOPE_SUITE,
     ConfigError,
     HorizonError,
     RunConfig,
+    RunReport,
     build_field,
     default_attractor_config,
     default_kdv_limit_config,
@@ -51,6 +53,14 @@ class TestRunConfig:
         assert RunConfig(grid_k=128).step_size() == pytest.approx(1e-3)
         assert RunConfig(grid_k=1000).step_size() == pytest.approx(5e-4)
         assert RunConfig(h=2e-4).step_size() == 2e-4
+
+
+class TestRunReport:
+    def test_no_verdict_is_not_a_pass(self):
+        report = RunReport("smoothing_ladder", RunConfig())
+        assert not report.passed
+        report.check("gap", 0.5, 1.0)
+        assert report.passed
 
 
 class TestBuildField:
@@ -105,25 +115,31 @@ class TestAbsorbingBall:
             init_sigma=2.5, init_target_l2=3.0,
         )
         assert predicted_absorption_time(3.0, 1.0, 1.0) == pytest.approx(np.log(2.0))
-        r = run_absorbing_ball(cfg)
+        r = run_absorbing_ball(run_energy_envelope(cfg))
         assert r.passed
         assert r.measured["measured_absorption_time"] <= np.log(2.0) + cfg.step_size()
 
     def test_already_inside_gives_time_zero(self):
         cfg = RunConfig(grid_k=16, T=2.0, gamma=1.0, init_sigma=2.5, init_target_l2=0.5)
-        r = run_absorbing_ball(cfg)
+        r = run_absorbing_ball(run_energy_envelope(cfg))
         assert r.measured["measured_absorption_time"] == 0.0
 
     def test_requires_forcing(self):
-        with pytest.raises(ConfigError):
-            run_absorbing_ball(RunConfig(grid_k=16, forcing_profile="zero"))
+        unforced = run_energy_envelope(RunConfig(grid_k=16, T=0.1, forcing_profile="zero"))
+        with pytest.raises(ConfigError, match="nonzero forcing"):
+            run_absorbing_ball(unforced)
+
+    def test_rejects_other_experiments(self):
+        limit = run_kdv_limit(RunConfig(grid_k=16, T=0.1, init_profile="cosine"))
+        with pytest.raises(ConfigError, match="energy_envelope reports"):
+            run_absorbing_ball(limit)
 
     def test_short_horizon_diagnosed(self):
         cfg = RunConfig(
             grid_k=16, T=0.01, gamma=0.5, init_sigma=2.5, init_target_l2=4.0
         )
         with pytest.raises(HorizonError, match="horizon"):
-            run_absorbing_ball(cfg)
+            run_absorbing_ball(run_energy_envelope(cfg))
 
 
 class TestFirstContainmentTime:
@@ -238,7 +254,7 @@ class TestAbsorbingEnsemble:
                 grid_k=32, T=6.0, gamma=1.0, forcing_amplitude=float(np.sqrt(2.0)),
                 init_sigma=2.5, init_seed=seed, init_target_l2=3.0,
             )
-            r = run_absorbing_ball(cfg)
+            r = run_absorbing_ball(run_energy_envelope(cfg))
             assert r.passed, f"seed {seed}"
 
 
@@ -278,16 +294,26 @@ class TestEnvelopeSuite:
         gammas = {cfg.gamma for cfg in DEFAULT_ENVELOPE_SUITE}
         assert gammas == {0.5, 1.0, 2.0}
 
-    def test_mini_suite_runs_both_checks(self):
+    def test_mini_suite_runs_both_checks(self, monkeypatch):
         mini = (
             RunConfig(grid_k=16, T=2.0, gamma=1.0, init_sigma=2.5),
             RunConfig(grid_k=16, T=2.0, gamma=1.0, forcing_profile="zero", init_sigma=2.5),
         )
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(fdkdv.experiments, "evolve", counting_evolve)
         reports = envelope_suite(mini)
         kinds = [r.experiment for r in reports]
         assert kinds.count("energy_envelope") == 2
         assert kinds.count("absorbing_ball") == 1  # only the forced config
         assert all(r.passed for r in reports)
+        # one integration per config: the absorbing ball judges the envelope run
+        assert len(calls) == 2
+        assert reports[2].trajectories["trajectory"] is reports[0].trajectories["trajectory"]
 
 
 class TestResidualConfigs:

@@ -154,6 +154,20 @@ class TestBilinearNormConstant:
         zero = CoefSeq.zeros(g)
         assert _bilinear_ratio(zero, zero, 0.5) == 0.0
 
+    def test_random_trial_field_pinned(self):
+        import numpy as np
+
+        from fdkdv.lattice import _random_hermitian
+        from fdkdv.spectral import GridSpec
+
+        v = _random_hermitian(GridSpec(3), np.random.default_rng(5))
+        assert v.coef[3:].tolist() == [
+            0j, -1.324358995628145 - 0.24836162209524854j,
+            0.18205994118156638 + 0.4919274763015748j,
+            0.02911427325143474 - 0.14666350551317975j,
+        ]
+        assert v.hermitian_defect() == 0.0
+
     def test_deterministic(self):
         a = bilinear_norm_constant(LatticeBudget(8, 0.5), trials=25, seed=7)
         b = bilinear_norm_constant(LatticeBudget(8, 0.5), trials=25, seed=7)

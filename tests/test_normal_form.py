@@ -474,19 +474,19 @@ class TestSmoothingGap:
         f = CoefSeq.cosine(g)
         u0 = random_rough_state(g, 1.0, seed=8, target_l2=1.0)
         traj = evolve(u0, 0.1, FlowParams(gamma=1.0, forcing=f, h=1e-3), sample_every=10)
-        assert smoothing_gap(u0, traj, 0.0, 0.5) == 0.0
+        assert smoothing_gap(u0, traj.states[0], 0.0, 1.0, 0.5) == 0.0
 
     def test_zero_data_zero_forcing(self):
         g = GridSpec(16)
         params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=1e-3)
         traj = evolve(CoefSeq.zeros(g), 0.1, params, sample_every=10)
-        for t in traj.times:
-            assert smoothing_gap(CoefSeq.zeros(g), traj, float(t), 0.5) == 0.0
+        for t, u in zip(traj.times, traj.states):
+            assert smoothing_gap(CoefSeq.zeros(g), u, float(t), 1.0, 0.5) == 0.0
 
     def test_positive_along_forced_trajectory(self):
         g = GridSpec(32)
         f = CoefSeq.cosine(g)
         u0 = random_rough_state(g, 0.55, seed=7, target_l2=1.0)
         traj = evolve(u0, 0.5, FlowParams(gamma=0.5, forcing=f, h=1e-3), sample_every=100)
-        g05 = smoothing_gap(u0, traj, 0.5, 0.5)
+        g05 = smoothing_gap(u0, traj.state_at(0.5), 0.5, 0.5, 0.5)
         assert g05 > 0.0

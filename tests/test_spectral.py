@@ -209,6 +209,22 @@ class TestRandomRoughState:
         b = random_rough_state(g, 0.8, seed=42, target_l2=1.0)
         assert np.array_equal(a.coef, b.coef)
 
+    @pytest.mark.parametrize("K, sigma, seed, target, expected", [
+        (3, 1.5, 7, 1.0, [0j, -0.46355295946672437 - 0.4641094033003348j,
+                          0.18520867413631725 - 0.1395801117009024j,
+                          0.020285108136343644 - 0.12459843244590411j]),
+        (4, 0.55, 101, 2.0, [0j, 0.9417741996075695 - 0.34890173353374143j,
+                             -0.4353312817602633 + 0.5301399482015232j,
+                             0.11907416012287872 - 0.5357833532949947j,
+                             -0.3935679891352948 - 0.25422239945277625j]),
+    ])
+    def test_pinned_values(self, K, sigma, seed, target, expected):
+        # seeded fields feed the pinned experiment references; any change of
+        # draw order or arithmetic shows here as an inexact match
+        u = random_rough_state(GridSpec(K), sigma, seed=seed, target_l2=target)
+        assert u.coef[K:].tolist() == expected
+        assert u.hermitian_defect() == 0.0
+
     def test_rescaled_to_target(self):
         u = random_rough_state(GridSpec(32), 1.5, seed=3, target_l2=2.5)
         assert u.l2() == pytest.approx(2.5, abs=1e-12)
