@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -229,10 +230,13 @@ def _out_dir(args) -> Path:
 
 
 def _emit(report: RunReport, out: Path, quiet: bool,
-          csv_map: dict[str, str] | None = None, label: str | None = None):
+          csv_map: dict[str, str | None] | None = None, label: str | None = None):
+    """Write the report's trajectory CSVs (csv_map renames them; a name
+    mapped to None is not written) and its JSON, and print its verdicts."""
     for name, traj in report.trajectories.items():
         fname = (csv_map or {}).get(name, f"{name}.csv")
-        write_trajectory_csv(traj, out / fname, s_values=report.config.s_values)
+        if fname is not None:
+            write_trajectory_csv(traj, out / fname, s_values=report.config.s_values)
     write_report_json(report, out / f"report_{label or report.experiment}.json")
     if not quiet:
         for c in report.checks:
@@ -279,7 +283,9 @@ def cmd_envelope(args) -> int:
     if reports[0].measured["forcing_l2"] > 0:
         try:
             reports.append(run_absorbing_ball(reports[0]))
-            _emit(reports[1], out, args.quiet, {"trajectory": "absorbing.csv"})
+            # the verdict judges the trajectory just written: copy its bytes
+            shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
+            _emit(reports[1], out, args.quiet, {"trajectory": None})
         except HorizonError as exc:
             reports.append(_horizon_failure("absorbing_ball", cfg, exc))
             _emit(reports[-1], out, args.quiet)

@@ -15,7 +15,8 @@ and the forcing:
 The stepper works on half spectra: a real field is carried by its
 coefficients k = 0..K, and a batch of fields sharing (gamma, f, h, scheme)
 is an array of shape (M, K+1) stepped together.  The quadratic term is the
-real-transform square :func:`~fdkdv.spectral.square_half`; the negative
+package's one product kernel, :func:`~fdkdv.spectral.product_half`, on the
+state twice (one inverse transform, squared, one transform); the negative
 modes are rebuilt by conjugation only when a :class:`CoefSeq` is made.  A
 single run is a batch of one, and each member of a batch is bit-identical to
 its solo run.
@@ -29,7 +30,7 @@ import numpy as np
 
 # sobolev_norm stays bound here: the traced benchmark (bench/tracing.py)
 # patches it on this module.
-from .spectral import CoefSeq, GridSpec, sobolev_norm, square_half  # noqa: F401
+from .spectral import CoefSeq, GridSpec, product_half, sobolev_norm  # noqa: F401
 
 
 class StepFailureError(RuntimeError):
@@ -191,7 +192,7 @@ class _Stepper:
         at k = 0 because f is mean-zero."""
         if not self.params.include_nonlinear:
             return np.broadcast_to(self.forcing, c.shape)
-        return self.convect * square_half(c, self.params.grid) + self.forcing
+        return self.convect * product_half(c, c, self.params.grid) + self.forcing
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         out = self._step(c)
@@ -224,9 +225,7 @@ def _half(u: CoefSeq, grid: GridSpec) -> np.ndarray:
     """Coefficients k = 0..K of a real field on `grid`."""
     if u.grid != grid:
         raise ValueError(f"grid mismatch: {u.grid} vs {grid}")
-    if not u.is_real_field():
-        raise ValueError("the flow acts on real fields (Hermitian coefficients)")
-    return u.coef[grid.K :]
+    return u.half()
 
 
 def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import TrajectoryRecord, linear_flow
-from .spectral import CoefSeq, GridSpec, convolve_raw, sobolev_norm
+from .spectral import CoefSeq, GridSpec, product_half, sobolev_norm
 
 
 def third_antiderivative(f: CoefSeq) -> CoefSeq:
@@ -80,41 +80,44 @@ class NormalFormFrame:
         return z.with_coef(z.coef / self._twist(t) + self.v.coef)
 
 
-def _twisted_over_k(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u_j e^{i t j^3} / j with the j = 0 slot zeroed, e^{i t k^3}) on the grid.
+def _twisted_antiderivative(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(q, e^{i t k^3}) on k = 0..K, with q_k = u_k e^{i t k^3} / (i k) and
+    q_0 = 0: the half spectrum of the antiderivative of the twisted field,
+    which is real for real u (raises ValueError otherwise).
 
     The twist factors the cubic phases: 3 k k1 k2 = k^3 - k1^3 - k2^3 on
     k = k1 + k2, and 3 (k1+k2)(k1+k3)(k2+k3) = k^3 - k1^3 - k2^3 - k3^3 on
     k = k1 + k2 + k3, so every phase-weighted sum becomes e^{-i t k^3} times
-    a plain convolution of twisted inputs.  At t = 0 the twist is 1 and is
+    a plain product of twisted real fields.  At t = 0 the twist is 1 and is
     not applied.
     """
-    k = u.grid.modes.astype(np.float64)
-    inv = np.zeros_like(k)
-    inv[k != 0] = 1.0 / k[k != 0]
+    k = np.arange(u.grid.K + 1, dtype=np.float64)
     twist = np.exp(1j * t * k**3) if t != 0.0 else np.ones_like(k)
-    return u.coef * twist * inv, twist
+    q = np.zeros(k.size, dtype=np.complex128)
+    q[1:] = u.half()[1:] * twist[1:] / (1j * k[1:])
+    return q, twist
 
 
 def normal_form_bilinear(u: CoefSeq, v: CoefSeq, t: float = 0.0) -> CoefSeq:
     """Boundary bilinear form: (1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2).
 
     The k = 0 output is zero by definition.  t = 0 gives the stationary form;
-    the phase preserves Hermitian symmetry at every t.  Inputs must be
-    mean-zero so k1, k2 never vanish.  Computed as the twisted convolution
-    e^{-i t k^3} conv(u~/k, v~/k) / 6 with u~_j = u_j e^{i t j^3}, O(K log K).
+    the phase preserves Hermitian symmetry at every t, and the result is
+    exactly Hermitian.  Inputs must be real and mean-zero so k1, k2 never
+    vanish.  Computed as -e^{-i t k^3} (q_u q_v) / 6 with q the twisted
+    antiderivative (:func:`_twisted_antiderivative`), O(K log K).
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
     if not (u.is_mean_zero() and v.is_mean_zero()):
         raise ValueError("inputs must be mean-zero")
-    a, twist = _twisted_over_k(u, t)
-    b = a if v is u else _twisted_over_k(v, t)[0]
-    out = convolve_raw(a, b, u.grid) / 6.0
+    a, twist = _twisted_antiderivative(u, t)
+    b = a if v is u else _twisted_antiderivative(v, t)[0]
+    out = product_half(a, b, u.grid) / -6.0
     if t != 0.0:
         out *= np.conj(twist)
-    out[u.grid.K] = 0.0
-    return u.with_coef(out)
+    out[0] = 0.0
+    return CoefSeq.from_half(u.grid, out)
 
 
 def resonant_cubic(u: CoefSeq) -> CoefSeq:
@@ -175,31 +178,31 @@ def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = No
     into the bilinear term, so the differential identity at truncation K
     holds exactly only with pair_sum_band = K (see normal_form_residual).
 
-    The sum over all triples with k2 + k3 = m != 0, |m| <= band is the
-    twisted convolution e^{-i t k^3} conv(u~/k, band(u~ * u~)), taken on the
-    2K grid so that the pair sums m reach |m| <= 2K without aliasing.  The
-    resonant triples in it have phase 1 and are subtracted in closed form
-    (:func:`_resonant_cubic_banded`); O(K log K) overall.
+    The sum over all triples with k2 + k3 = m != 0, |m| <= band is
+    -e^{-i t k^3} (q band(u~ u~)) / 6 with u~_j = u_j e^{i t j^3} and q the
+    twisted antiderivative (:func:`_twisted_antiderivative`), both products
+    of real fields taken on the 2K grid so that the pair sums m reach
+    |m| <= 2K without aliasing.  The resonant triples in it have phase 1
+    and are subtracted in closed form (:func:`_resonant_cubic_banded`);
+    O(K log K) overall.  The input must be a real field; the result is
+    exactly Hermitian.
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
     K = u.grid.K
     band = 2 * K if pair_sum_band is None else min(max(pair_sum_band, 0), 2 * K)
     wide = GridSpec(2 * K)
-    w, twist = _twisted_over_k(u, t)
-    inner = np.zeros(wide.size, dtype=np.complex128)
-    outer = np.zeros(wide.size, dtype=np.complex128)
-    inner[K : 3 * K + 1] = u.coef * twist
-    outer[K : 3 * K + 1] = w
-    pairs = convolve_raw(inner, inner, wide)
-    m = wide.modes
-    pairs[(m == 0) | (np.abs(m) > band)] = 0.0
-    full = convolve_raw(outer, pairs, wide)[K : 3 * K + 1]
+    q, twist = _twisted_antiderivative(u, t)
+    tilde = u.coef[K:] * twist
+    pairs = product_half(tilde, tilde, wide)
+    pairs[0] = 0.0
+    pairs[band + 1 :] = 0.0
+    full = product_half(q, pairs, wide)[: K + 1] / -6.0
     if t != 0.0:
         full *= np.conj(twist)
-    out = (1j / 6.0) * full - _resonant_cubic_banded(u.coef, band)
-    out[K] = 0.0
-    return u.with_coef(out)
+    out = full - _resonant_cubic_banded(u.coef, band)[K:]
+    out[0] = 0.0
+    return CoefSeq.from_half(u.grid, out)
 
 
 def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:

@@ -4,16 +4,15 @@ A field u(x) = sum_k u_k e^{ikx} is stored as the complex coefficient vector
 for k = -K..K.  Real fields satisfy u_{-k} = conj(u_k); mean-zero fields have
 u_0 = 0.  All norms are sequence norms: ||u||^2 = sum_{k != 0} |u_k|^2.
 
-Two product kernels work on raw arrays: :func:`convolve_raw` on full -K..K
-arrays with any complex entries (the twisted operands of the normal-form
-operators), and :func:`square_half` on half spectra k = 0..K of real fields
-(the flow's quadratic term), which needs only real transforms.
+One product kernel, :func:`product_half`, multiplies real fields given by
+their half spectra k = 0..K through real transforms.  The flow's quadratic
+term, the normal-form operators (whose twisted operands are real fields
+too) and :func:`truncated_convolution` all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,13 +59,6 @@ class GridSpec:
     @property
     def size(self) -> int:
         return 2 * self.K + 1
-
-    @cached_property
-    def fft_index(self) -> np.ndarray:
-        """Positions of the modes -K..K in a length-P FFT output."""
-        idx = np.mod(self.modes, self.P)
-        idx.setflags(write=False)
-        return idx
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,17 @@ class CoefSeq:
         c[: grid.K] = np.conj(half[: 0 : -1])
         return cls(grid, c)
 
+    def half(self) -> np.ndarray:
+        """Coefficients k = 0..K, the inverse of :meth:`from_half`.  Raises
+        ValueError for a field that is not real, which a half spectrum
+        cannot carry."""
+        if not self.is_real_field():
+            raise ValueError(
+                f"not a real field (Hermitian defect {self.hermitian_defect():.3e}); "
+                "a half spectrum cannot carry it"
+            )
+        return self.coef[self.grid.K :]
+
     def with_coef(self, coef: np.ndarray) -> "CoefSeq":
         return CoefSeq(self.grid, coef)
 
@@ -169,21 +172,9 @@ def project_mean_zero(u: CoefSeq) -> CoefSeq:
     return u.with_coef(c)
 
 
-def _pad_to_physical(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    buf = np.zeros(grid.P, dtype=np.complex128)
-    buf[: grid.K + 1] = coef[grid.K :]          # k = 0..K
-    buf[grid.P - grid.K :] = coef[: grid.K]     # k = -K..-1
-    return buf
-
-
 def to_physical(u: CoefSeq) -> np.ndarray:
     """Real samples u(x_j) on the uniform grid x_j = 2*pi*j/P."""
-    vals = np.fft.ifft(_pad_to_physical(u.coef, u.grid)) * u.grid.P
-    imag = float(np.max(np.abs(vals.imag))) if u.grid.P else 0.0
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    if imag > 1e-10 * scale:
-        raise ValueError(f"field is not real: imaginary residue {imag:.3e}")
-    return vals.real
+    return np.fft.irfft(u.half(), n=u.grid.P, norm="forward")
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> CoefSeq:
@@ -195,46 +186,34 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> CoefSeq:
         samples = samples.real
     if samples.shape != (grid.P,):
         raise ValueError(f"expected {grid.P} samples, got {samples.shape}")
-    spec = np.fft.fft(samples) / grid.P
-    return CoefSeq(grid, spec[grid.fft_index])
+    return CoefSeq.from_half(grid, np.fft.rfft(samples, norm="forward")[: grid.K + 1])
 
 
-def convolve_raw(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(a b)_k = sum_{m+n=k, |m|,|n| <= K} a_n b_m for |k| <= K, on raw
-    coefficient arrays of length 2K+1 (any complex entries, no symmetry
-    assumed).
+def product_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u v)_k for k = 0..K, where u and v are the real fields whose
+    coefficients k = 0..K' (K' <= K) are the last axes of a and b; leading
+    axes are a batch.
 
-    Zero-padded transforms of size P >= 3K+1 make the result the exact
-    truncation of the full convolution (to roundoff) in O(P log P).  Passing
-    the same array twice saves one inverse transform.
+    Zero padding to P >= 3K+1 makes the result the exact truncation of u*v
+    (to roundoff) in O(P log P), through real transforms of the real fields.
+    Passing the same array twice saves one transform.  The imaginary parts
+    of a[..., 0] and b[..., 0] are ignored.
     """
-    pa = np.fft.ifft(_pad_to_physical(a, grid)) * grid.P
-    pb = pa if b is a else np.fft.ifft(_pad_to_physical(b, grid)) * grid.P
-    return (np.fft.fft(pa * pb) / grid.P)[grid.fft_index]
-
-
-def square_half(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(u u)_k for k = 0..K, where u is the real field whose coefficients
-    k = 0..K are the last axis of c (shape (..., K+1); leading axes are a
-    batch).
-
-    Same zero padding to P >= 3K+1 as :func:`convolve_raw`, so the result is
-    the exact truncation of u*u, but through real transforms of the real
-    field.  The imaginary part of c[..., 0] is ignored.
-    """
-    vals = np.fft.irfft(c, n=grid.P, norm="forward")
-    return np.fft.rfft(vals * vals, norm="forward")[..., : grid.K + 1]
+    pa = np.fft.irfft(a, n=grid.P, norm="forward")
+    pb = pa if b is a else np.fft.irfft(b, n=grid.P, norm="forward")
+    return np.fft.rfft(pa * pb, norm="forward")[..., : grid.K + 1]
 
 
 def truncated_convolution(u: CoefSeq, v: CoefSeq) -> CoefSeq:
-    """:func:`convolve_raw` on coefficient sequences of one grid.
+    """:func:`product_half` on coefficient sequences of real fields on one
+    grid.
 
-    The product of two real mean-zero fields is Hermitian but generally not
+    The product of two real mean-zero fields is real but generally not
     mean-zero; the mean stays in the k = 0 slot for the caller to project.
     """
     if u.grid != v.grid:
         raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
-    return CoefSeq(u.grid, convolve_raw(u.coef, v.coef, u.grid))
+    return CoefSeq.from_half(u.grid, product_half(u.half(), v.half(), u.grid))
 
 
 def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float) -> CoefSeq:

@@ -1,8 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+import fdkdv.cli
 import fdkdv.experiments
 from fdkdv.cli import (
     EXIT_ASSERTION,
@@ -116,12 +118,22 @@ class TestDispatch:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(fdkdv.experiments, "evolve", counting_evolve)
+        written = []
+        write_csv = fdkdv.cli.write_trajectory_csv
+
+        def counting_write(traj, path, *args, **kwargs):
+            written.append(Path(path).name)
+            return write_csv(traj, path, *args, **kwargs)
+
+        monkeypatch.setattr(fdkdv.cli, "write_trajectory_csv", counting_write)
         code = run_cli(
             "envelope", "--out", str(tmp_path), "--quiet",
             "--set", "grid.k=16", "--set", "T=1.0",
         )
         assert code == EXIT_OK
         assert len(calls) == 1
+        # absorbing.csv is a byte copy, not a second rendering
+        assert written == ["trajectory.csv"]
         # the absorbing-ball verdict reads the envelope run's trajectory
         absorbing = (tmp_path / "absorbing.csv").read_bytes()
         assert absorbing == (tmp_path / "trajectory.csv").read_bytes()

@@ -187,6 +187,14 @@ class TestNormalFormBilinear:
         v = hermitian_state(g, seed=11)
         assert normal_form_bilinear(u, v, t).is_real_field(1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_output_exactly_hermitian(self, t):
+        g = GridSpec(16)
+        u = hermitian_state(g, seed=10)
+        v = hermitian_state(g, seed=11)
+        for a, b in ((u, v), (u, u)):
+            assert normal_form_bilinear(a, b, t).hermitian_defect() == 0.0
+
     def test_two_mode_norm_ratio_closed_form(self):
         # u = v with u_{+-1} = 1: ratio ||B(u,u)||_{H^s} / (||u|| ||v||) = 2^{s-1/2}/6
         g = GridSpec(8)
@@ -215,6 +223,14 @@ class TestNormalFormBilinear:
         bad = CoefSeq.from_modes(g, {0: 1.0, 1: 1.0, -1: 1.0})
         with pytest.raises(ValueError):
             normal_form_bilinear(bad, bad)
+
+    def test_rejects_non_real_field(self):
+        g = GridSpec(8)
+        bad = CoefSeq.from_modes(g, {1: 1.0})  # e^{ix}: no conjugate partner
+        u = hermitian_state(g, seed=12)
+        for a, b in ((bad, u), (u, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="not a real field"):
+                normal_form_bilinear(a, b, 0.37)
 
 
 class TestResonantCubic:
@@ -330,6 +346,17 @@ class TestNonresonantCubic:
     def test_hermitian_preservation(self, t):
         u = hermitian_state(GridSpec(12), seed=15)
         assert nonresonant_cubic(u, t).is_real_field(1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_output_exactly_hermitian(self, t):
+        u = hermitian_state(GridSpec(12), seed=15)
+        for band in (None, 12, 6):
+            assert nonresonant_cubic(u, t, pair_sum_band=band).hermitian_defect() == 0.0
+
+    def test_rejects_non_real_field(self):
+        bad = CoefSeq.from_modes(GridSpec(8), {1: 1.0, 2: 0.5, -2: 0.5})
+        with pytest.raises(ValueError, match="not a real field"):
+            nonresonant_cubic(bad, 0.37)
 
 
 class TestResonantCubicBanded:

@@ -4,16 +4,26 @@ import pytest
 from fdkdv.spectral import (
     CoefSeq,
     GridSpec,
-    convolve_raw,
     from_physical,
     next_alias_free_size,
+    product_half,
     project_mean_zero,
     random_rough_state,
     sobolev_norm,
-    square_half,
     to_physical,
     truncated_convolution,
 )
+
+
+def product_oracle(a, b, K):
+    """(u v)_k for k = 0..K by direct summation over the full spectra of the
+    real fields with half spectra a and b."""
+    full_a = np.concatenate((np.conj(a[:0:-1]), a))
+    full_b = np.concatenate((np.conj(b[:0:-1]), b))
+    return np.array([
+        sum(full_a[n + K] * full_b[k - n + K] for n in range(k - K, K + 1))
+        for k in range(K + 1)
+    ])
 
 
 def random_field(grid, seed, decay=1.0):
@@ -101,20 +111,10 @@ class TestConvolution:
         w = truncated_convolution(u, v)
         assert np.max(np.abs(w.coef - expected)) < 1e-12
 
-    def test_raw_arrays_without_symmetry(self):
-        # the primitive takes any complex entries, as the twisted operators need
-        K = 5
-        g = GridSpec(K)
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(2, g.size)) + 1j * rng.normal(size=(2, g.size))
-        expected = [sum(a[n + K] * b[k - n + K] for n in range(-K, K + 1) if abs(k - n) <= K)
-                    for k in range(-K, K + 1)]
-        assert np.max(np.abs(convolve_raw(a, b, g) - expected)) < 1e-13
-
     def test_same_operand_is_bit_identical_to_a_copy(self):
         g = GridSpec(16)
-        a = random_field(g, seed=4).coef
-        assert np.array_equal(convolve_raw(a, a, g), convolve_raw(a, a.copy(), g))
+        a = random_field(g, seed=4).coef[g.K :]
+        assert np.array_equal(product_half(a, a, g), product_half(a, a.copy(), g))
 
     def test_bilinear_and_symmetric(self):
         g = GridSpec(12)
@@ -135,17 +135,34 @@ class TestConvolution:
         with pytest.raises(ValueError):
             truncated_convolution(CoefSeq.cosine(GridSpec(8)), CoefSeq.cosine(GridSpec(9)))
 
+    def test_non_real_field_rejected(self):
+        g = GridSpec(8)
+        bad = CoefSeq.from_modes(g, {1: 1.0})  # e^{ix}: no conjugate partner
+        with pytest.raises(ValueError, match="not a real field"):
+            truncated_convolution(bad, CoefSeq.cosine(g))
+        with pytest.raises(ValueError, match="not a real field"):
+            truncated_convolution(CoefSeq.cosine(g), bad)
+
 
 class TestHalfSpectrum:
     @pytest.mark.parametrize("K", [1, 8, 33])
     def test_square_matches_full_convolution_per_member(self, K):
         g = GridSpec(K)
-        fields = [random_field(g, seed) for seed in (10, 11, 12)]
-        got = square_half(np.stack([u.coef[K:] for u in fields]), g)
+        c = np.stack([random_field(g, seed).coef[K:] for seed in (10, 11, 12)])
+        got = product_half(c, c, g)
         assert got.shape == (3, K + 1)
-        for u, row in zip(fields, got):
-            full = convolve_raw(u.coef, u.coef, g)
-            assert np.max(np.abs(row - full[K:])) < 1e-13
+        for row, a in zip(got, c):
+            assert np.max(np.abs(row - product_oracle(a, a, K))) < 1e-13
+
+    @pytest.mark.parametrize("K", [1, 8, 33])
+    def test_product_matches_direct_sum_per_member(self, K):
+        g = GridSpec(K)
+        a = np.stack([random_field(g, seed).coef[K:] for seed in (20, 21, 22)])
+        b = np.stack([random_field(g, seed).coef[K:] for seed in (23, 24, 25)])
+        got = product_half(a, b, g)
+        assert got.shape == (3, K + 1)
+        for row, x, y in zip(got, a, b):
+            assert np.max(np.abs(row - product_oracle(x, y, K))) < 1e-13
 
     def test_from_half_rebuilds_the_full_field(self):
         g = GridSpec(16)
@@ -195,6 +212,11 @@ class TestPhysicalTransforms:
         u = random_field(g, seed=12)
         phys = to_physical(u)
         assert np.mean(phys**2) == pytest.approx(np.sum(np.abs(u.coef) ** 2), rel=1e-12)
+
+    def test_rejects_non_real_field(self):
+        g = GridSpec(8)
+        with pytest.raises(ValueError, match="not a real field"):
+            to_physical(CoefSeq.from_modes(g, {2: 1.0}))
 
     def test_rejects_complex_samples(self):
         g = GridSpec(4)
