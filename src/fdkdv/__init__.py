@@ -6,12 +6,8 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     CoefSeq,
     GridSpec,
-    from_physical,
-    project_mean_zero,
     random_rough_state,
     sobolev_norm,
-    to_physical,
-    truncated_convolution,
 )
 from .flow import (  # noqa: F401
     FlowParams,
@@ -27,8 +23,6 @@ from .flow import (  # noqa: F401
 )
 from .normal_form import (  # noqa: F401
     NormalFormFrame,
-    TripleClass,
-    classify_triple,
     nonresonant_cubic,
     normal_form_bilinear,
     normal_form_residual,

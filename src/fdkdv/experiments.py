@@ -153,11 +153,14 @@ class RunConfig:
 
 
 def build_field(grid: GridSpec, profile: str, *, amplitude=1.0, mode=1,
-                sigma=1.5, seed=0, target_l2=1.0) -> CoefSeq:
-    """Resolve a named field profile to coefficients."""
+                sigma=1.5, seed=0, target_l2=1.0, mode_key="mode") -> CoefSeq:
+    """Resolve a named field profile to coefficients; a cosine mode outside
+    1..K raises ConfigError naming mode_key."""
     if profile == "zero":
         return CoefSeq.zeros(grid)
     if profile == "cosine":
+        if not 1 <= mode <= grid.K:
+            raise ConfigError(f"{mode_key} must lie in 1..K = {grid.K}, got {mode}")
         return CoefSeq.cosine(grid, mode=mode, amplitude=amplitude)
     if profile == "random":
         return random_rough_state(grid, sigma, seed=seed, target_l2=target_l2)
@@ -168,7 +171,7 @@ def forcing_for(cfg: RunConfig, grid: GridSpec | None = None) -> CoefSeq:
     return build_field(
         grid or cfg.grid(), cfg.forcing_profile, amplitude=cfg.forcing_amplitude,
         mode=cfg.forcing_mode, sigma=cfg.forcing_sigma, seed=cfg.forcing_seed,
-        target_l2=cfg.forcing_target_l2,
+        target_l2=cfg.forcing_target_l2, mode_key="forcing.mode",
     )
 
 
@@ -176,7 +179,7 @@ def initial_state_for(cfg: RunConfig, grid: GridSpec | None = None) -> CoefSeq:
     return build_field(
         grid or cfg.grid(), cfg.init_profile, amplitude=cfg.init_amplitude,
         mode=cfg.init_mode, sigma=cfg.init_sigma, seed=cfg.init_seed,
-        target_l2=cfg.init_target_l2,
+        target_l2=cfg.init_target_l2, mode_key="init.mode",
     )
 
 
@@ -404,7 +407,9 @@ def run_kdv_limit(cfg: RunConfig) -> RunReport:
     measured drift is pure time-integrator error."""
     t0 = time.perf_counter()
     grid = cfg.grid()
-    params = FlowParams.kdv_limit(CoefSeq.zeros(grid), h=cfg.step_size(), scheme=cfg.scheme)
+    params = FlowParams(
+        gamma=0.0, forcing=CoefSeq.zeros(grid), h=cfg.step_size(), scheme=cfg.scheme
+    )
     u0 = initial_state_for(cfg, grid)
     traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
     drift = float(np.max(np.abs(traj.dense_l2 - u0.l2())))

@@ -12,14 +12,13 @@ and the forcing:
   saturation error is suppressed by 1/|k^3 h|; required for the smoothing and
   attractor studies on rough data at large K.
 
-The stepper works on half spectra: a real field is carried by its
-coefficients k = 0..K, and a batch of fields sharing (gamma, f, h, scheme)
-is an array of shape (M, K+1) stepped together.  The quadratic term is the
-package's one product kernel, :func:`~fdkdv.spectral.product_half`, on the
-state twice (one inverse transform, squared, one transform); the negative
-modes are rebuilt by conjugation only when a :class:`CoefSeq` is made.  A
-single run is a batch of one, and each member of a batch is bit-identical to
-its solo run.
+The stepper works on the stored half spectra k = 0..K of
+:class:`~fdkdv.spectral.CoefSeq`: a batch of fields sharing
+(gamma, f, h, scheme) is an array of shape (M, K+1) stepped together.  The
+quadratic term is the package's one product kernel,
+:func:`~fdkdv.spectral.product_half`, on the state twice (one inverse
+transform, squared, one transform).  A single run is a batch of one, and
+each member of a batch is bit-identical to its solo run.
 """
 
 from __future__ import annotations
@@ -54,46 +53,26 @@ SCHEMES = ("ifrk4", "etdrk4")
 class FlowParams:
     """Damping gamma, time-independent mean-zero real forcing, step size h.
 
-    gamma > 0 throughout; the undamped/unforced limit used by the
-    conservation experiment must be built through :meth:`kdv_limit`.
-    `include_nonlinear=False` switches the quadratic term off (test hook for
-    exact-semigroup comparisons; the forcing stays active).
+    gamma >= 0: gamma = 0 with zero forcing is the undamped KdV limit of the
+    conservation experiment.
     """
 
     gamma: float
     forcing: CoefSeq
     h: float = 0.0
-    include_nonlinear: bool = True
     scheme: str = "ifrk4"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        self._validate_common()
-
-    def _validate_common(self):
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.forcing.is_mean_zero():
             raise ValueError("forcing must be mean-zero")
-        if not self.forcing.is_real_field():
-            raise ValueError("forcing must be a real field (Hermitian coefficients)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.h == 0.0:
             object.__setattr__(self, "h", default_step(self.grid.K))
         if self.h <= 0:
             raise ValueError(f"step size must be positive, got {self.h}")
-
-    @classmethod
-    def kdv_limit(cls, forcing: CoefSeq, h: float = 0.0, scheme: str = "ifrk4") -> "FlowParams":
-        """gamma = 0 variant (conservation experiments only)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "gamma", 0.0)
-        object.__setattr__(obj, "forcing", forcing)
-        object.__setattr__(obj, "h", h)
-        object.__setattr__(obj, "include_nonlinear", True)
-        object.__setattr__(obj, "scheme", scheme)
-        obj._validate_common()
-        return obj
 
     @property
     def grid(self) -> GridSpec:
@@ -178,7 +157,7 @@ class _Stepper:
         k = np.arange(K + 1, dtype=np.float64)
         self.lam = 1j * k**3 - params.gamma
         self.convect = -0.5j * k
-        self.forcing = params.forcing.coef[K:]
+        self.forcing = params.forcing.coef
         self.E = np.exp(self.lam * (h / 2.0))
         self.E2 = np.exp(self.lam * h)
         if params.scheme == "etdrk4":
@@ -190,8 +169,6 @@ class _Stepper:
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k; zero
         at k = 0 because f is mean-zero."""
-        if not self.params.include_nonlinear:
-            return np.broadcast_to(self.forcing, c.shape)
         return self.convect * product_half(c, c, self.params.grid) + self.forcing
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
@@ -221,11 +198,12 @@ class _Stepper:
         return c * self.E2 + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
 
 
-def _half(u: CoefSeq, grid: GridSpec) -> np.ndarray:
-    """Coefficients k = 0..K of a real field on `grid`."""
-    if u.grid != grid:
-        raise ValueError(f"grid mismatch: {u.grid} vs {grid}")
-    return u.half()
+def _batch(states, grid: GridSpec) -> np.ndarray:
+    """The coefficients of states on `grid`, stacked as a batch (M, K+1)."""
+    for u in states:
+        if u.grid != grid:
+            raise ValueError(f"grid mismatch: {u.grid} vs {grid}")
+    return np.stack([u.coef for u in states])
 
 
 def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
@@ -244,10 +222,10 @@ def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
 def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
     """du_k/dt = (i k^3 - gamma) u_k - (i k / 2)(u*u)_k + f_k, k != 0."""
     kernel = _Stepper(params, params.h)
-    c = _half(u, params.grid)[None, :]
+    c = _batch((u,), params.grid)
     d = kernel.lam * c + kernel.nonlinear(c)
     d[:, 0] = 0.0
-    return CoefSeq.from_half(params.grid, d[0])
+    return CoefSeq(params.grid, d[0])
 
 
 def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> CoefSeq:
@@ -258,9 +236,9 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
     switched off the ifrk4 step reproduces :func:`linear_flow` to the bit.
     """
     h = params.h if h is None else h
-    out = _Stepper(params, h)(_half(u, params.grid)[None, :])
+    out = _Stepper(params, h)(_batch((u,), params.grid))
     _half_sq_norms(out, t + h)
-    return CoefSeq.from_half(params.grid, out[0])
+    return CoefSeq(params.grid, out[0])
 
 
 def evolve_batch(
@@ -294,9 +272,9 @@ def evolve_batch(
     def record(t, c):
         times.append(t)
         for member, row in zip(states, c):
-            member.append(CoefSeq.from_half(g, row))
+            member.append(CoefSeq(g, row))
 
-    coef = np.stack([_half(u, g) for u in u0s])
+    coef = _batch(u0s, g)
     sq = np.empty((n_full + 1 + (h_last > 0.0), len(u0s)))
     sq[0] = _half_sq_norms(coef, 0.0)
     kernel = _Stepper(params, h)

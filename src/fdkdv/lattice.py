@@ -202,31 +202,13 @@ def smoothing_multiplier_sup(budget: LatticeBudget):
     return _lattice_extremum(budget.K, ratio, largest=True)
 
 
-def reduced_multiplier_sup(budget: LatticeBudget):
-    """sup of |k4|^s / (|k1| (|k1+k2||k1+k3||k2+k3|)^{1/2-11eps}): the
-    consequence form with the |k_i|-absorption already applied; checked
-    independently of :func:`smoothing_multiplier_sup`.
-
-    Uniform boundedness of this form needs s <= 1 - 22 eps (the proof routes
-    through M^{1-22 eps} >= |k4|^{1-22 eps}); outside that range the sup is
-    attained on the boundary family (-1, 2, K, -(K+1)) and creeps up with K.
-    """
-    s, eps = budget.s, budget.eps
-    expo = 0.5 - 11.0 * eps
-
-    def ratio(k1, K2, K3, k4, product):
-        return np.abs(k4).astype(np.float64) ** s / (abs(k1) * product**expo)
-
-    return _lattice_extremum(budget.K, ratio, largest=True)
-
-
 def _random_hermitian(grid: GridSpec, rng: np.random.Generator) -> CoefSeq:
     decay = rng.uniform(0.0, 1.5)
     z = rng.normal(size=(grid.K, 2))
     half = np.zeros(grid.K + 1, dtype=np.complex128)
     # scalar powers: numpy's array power can differ from them in the last bit
     half[1:] = (z[:, 0] + 1j * z[:, 1]) * np.array([k**-decay for k in range(1, grid.K + 1)])
-    return CoefSeq.from_half(grid, half)
+    return CoefSeq(grid, half)
 
 
 def _bilinear_ratio(u: CoefSeq, v: CoefSeq, s: float) -> float:
@@ -237,9 +219,9 @@ def _bilinear_ratio(u: CoefSeq, v: CoefSeq, s: float) -> float:
 
 
 def _ascend(u: CoefSeq, v: CoefSeq, s: float, min_step: float = 2e-3):
-    """Greedy coordinate ascent of the bilinear ratio: perturb one mode of u
-    or v at a time (real or imaginary part, mirrored to keep the field
-    real), keep improvements, shrink the step when a sweep stalls."""
+    """Greedy coordinate ascent of the bilinear ratio: perturb one mode
+    k >= 1 of u or v at a time (real or imaginary part), keep improvements,
+    shrink the step when a sweep stalls."""
     grid = u.grid
     best = _bilinear_ratio(u, v, s)
     step = 0.5
@@ -251,8 +233,7 @@ def _ascend(u: CoefSeq, v: CoefSeq, s: float, min_step: float = 2e-3):
             for k in range(1, grid.K + 1):
                 for delta in (step, -step, step * 1j, -step * 1j):
                     c2 = c.copy()
-                    c2[k + grid.K] += delta
-                    c2[-k + grid.K] = np.conj(c2[k + grid.K])
+                    c2[k] += delta
                     cand = CoefSeq(grid, c2)
                     pair = (cand, v) if which == 0 else (u, cand)
                     r = _bilinear_ratio(*pair, s)
@@ -271,9 +252,8 @@ def _ascend(u: CoefSeq, v: CoefSeq, s: float, min_step: float = 2e-3):
 
 def _embed(u: CoefSeq, grid: GridSpec) -> CoefSeq:
     """Zero-pad a state onto a finer grid; the bilinear ratio is unchanged."""
-    shift = grid.K - u.grid.K
     c = np.zeros(grid.size, dtype=np.complex128)
-    c[shift : shift + u.grid.size] = u.coef
+    c[: u.grid.size] = u.coef
     return CoefSeq(grid, c)
 
 
@@ -305,7 +285,7 @@ def bilinear_constant_ladder(k_values, s: float, trials: int = 200, seed: int = 
     for K in k_values:
         grid = GridSpec(K)
         # deterministic two-mode seed keeps the estimate comparable across K
-        u = v = CoefSeq.from_modes(grid, {1: 1.0, -1: 1.0})
+        u = v = CoefSeq.from_modes(grid, {1: 1.0})
         best = _bilinear_ratio(u, v, s)
         for _ in range(trials):
             uc = _random_hermitian(grid, rng)

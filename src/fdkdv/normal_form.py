@@ -17,7 +17,6 @@ computed trajectories as a numerical residual.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,9 @@ def third_antiderivative(f: CoefSeq) -> CoefSeq:
         raise ValueError("forcing must be mean-zero")
     k = f.grid.modes.astype(np.float64)
     denom = (1j * k) ** 3
-    denom[f.grid.K] = 1.0  # k = 0 slot, exactly zeroed below
+    denom[0] = 1.0  # k = 0 slot, exactly zeroed below
     v = f.coef / denom
-    v[f.grid.K] = 0.0
+    v[0] = 0.0
     return f.with_coef(v)
 
 
@@ -83,7 +82,7 @@ class NormalFormFrame:
 def _twisted_antiderivative(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(q, e^{i t k^3}) on k = 0..K, with q_k = u_k e^{i t k^3} / (i k) and
     q_0 = 0: the half spectrum of the antiderivative of the twisted field,
-    which is real for real u (raises ValueError otherwise).
+    which is real because u is.
 
     The twist factors the cubic phases: 3 k k1 k2 = k^3 - k1^3 - k2^3 on
     k = k1 + k2, and 3 (k1+k2)(k1+k3)(k2+k3) = k^3 - k1^3 - k2^3 - k3^3 on
@@ -94,7 +93,7 @@ def _twisted_antiderivative(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarra
     k = np.arange(u.grid.K + 1, dtype=np.float64)
     twist = np.exp(1j * t * k**3) if t != 0.0 else np.ones_like(k)
     q = np.zeros(k.size, dtype=np.complex128)
-    q[1:] = u.half()[1:] * twist[1:] / (1j * k[1:])
+    q[1:] = u.coef[1:] * twist[1:] / (1j * k[1:])
     return q, twist
 
 
@@ -102,10 +101,10 @@ def normal_form_bilinear(u: CoefSeq, v: CoefSeq, t: float = 0.0) -> CoefSeq:
     """Boundary bilinear form: (1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2).
 
     The k = 0 output is zero by definition.  t = 0 gives the stationary form;
-    the phase preserves Hermitian symmetry at every t, and the result is
-    exactly Hermitian.  Inputs must be real and mean-zero so k1, k2 never
-    vanish.  Computed as -e^{-i t k^3} (q_u q_v) / 6 with q the twisted
-    antiderivative (:func:`_twisted_antiderivative`), O(K log K).
+    the phase preserves Hermitian symmetry at every t, so the result is a
+    real field.  Inputs must be mean-zero so k1, k2 never vanish.  Computed
+    as -e^{-i t k^3} (q_u q_v) / 6 with q the twisted antiderivative
+    (:func:`_twisted_antiderivative`), O(K log K).
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
@@ -117,7 +116,7 @@ def normal_form_bilinear(u: CoefSeq, v: CoefSeq, t: float = 0.0) -> CoefSeq:
     if t != 0.0:
         out *= np.conj(twist)
     out[0] = 0.0
-    return CoefSeq.from_half(u.grid, out)
+    return CoefSeq(u.grid, out)
 
 
 def resonant_cubic(u: CoefSeq) -> CoefSeq:
@@ -128,42 +127,10 @@ def resonant_cubic(u: CoefSeq) -> CoefSeq:
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
-    k = u.grid.modes.astype(np.float64)
+    k = u.grid.modes[1:].astype(np.float64)
     out = np.zeros(u.grid.size, dtype=np.complex128)
-    nz = k != 0
-    out[nz] = (-1j / (6.0 * k[nz])) * np.abs(u.coef[nz]) ** 2 * u.coef[nz]
+    out[1:] = (-1j / (6.0 * k)) * np.abs(u.coef[1:]) ** 2 * u.coef[1:]
     return u.with_coef(out)
-
-
-class TripleClass(enum.Enum):
-    """Classification of a frequency triple by which pair sums vanish."""
-
-    NONRESONANT = "nonresonant"          # (k1+k2)(k1+k3)(k2+k3) != 0
-    DOUBLY_RESONANT = "doubly_resonant"  # k1+k2 = 0 and k1+k3 = 0
-    PAIR_12 = "pair_12"                  # only k1+k2 = 0
-    PAIR_13 = "pair_13"                  # only k1+k3 = 0
-    EXCLUDED = "excluded"                # k2+k3 = 0: outside the cubic sum's domain
-
-
-def classify_triple(k1: int, k2: int, k3: int) -> TripleClass:
-    """Partition of nonzero triples; exactly one label applies.
-
-    Triples with k2 + k3 = 0 never arise in the cubic remainder (the inner
-    convolution index is nonzero) and are reported as EXCLUDED rather than
-    folded into a resonant class.
-    """
-    if k1 == 0 or k2 == 0 or k3 == 0:
-        raise ValueError("wavenumbers must be nonzero")
-    if k2 + k3 == 0:
-        return TripleClass.EXCLUDED
-    p12, p13 = k1 + k2 == 0, k1 + k3 == 0
-    if p12 and p13:
-        return TripleClass.DOUBLY_RESONANT
-    if p12:
-        return TripleClass.PAIR_12
-    if p13:
-        return TripleClass.PAIR_13
-    return TripleClass.NONRESONANT
 
 
 def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = None) -> CoefSeq:
@@ -184,52 +151,62 @@ def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = No
     of real fields taken on the 2K grid so that the pair sums m reach
     |m| <= 2K without aliasing.  The resonant triples in it have phase 1
     and are subtracted in closed form (:func:`_resonant_cubic_banded`);
-    O(K log K) overall.  The input must be a real field; the result is
-    exactly Hermitian.
+    O(K log K) overall.  At K = 1 every triple is resonant and the result is
+    exactly zero.
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
     K = u.grid.K
+    if K == 1:
+        return CoefSeq.zeros(u.grid)
     band = 2 * K if pair_sum_band is None else min(max(pair_sum_band, 0), 2 * K)
     wide = GridSpec(2 * K)
     q, twist = _twisted_antiderivative(u, t)
-    tilde = u.coef[K:] * twist
+    tilde = u.coef * twist
     pairs = product_half(tilde, tilde, wide)
     pairs[0] = 0.0
     pairs[band + 1 :] = 0.0
     full = product_half(q, pairs, wide)[: K + 1] / -6.0
     if t != 0.0:
         full *= np.conj(twist)
-    out = full - _resonant_cubic_banded(u.coef, band)[K:]
+    out = full - _resonant_cubic_banded(u.coef, band)
     out[0] = 0.0
-    return CoefSeq.from_half(u.grid, out)
+    return CoefSeq(u.grid, out)
+
+
+def _full_spectrum(a: np.ndarray) -> np.ndarray:
+    """Coefficients k = -K..K of the real field with half spectrum a
+    (k = 0..K), for the two sums that index negative wavenumbers."""
+    return np.concatenate((np.conj(a[:0:-1]), a))
 
 
 def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:
     """Resonant part of the cubic sum (triples with k1 + k2 = 0 or
-    k1 + k3 = 0) on the domain |k2 + k3| <= band, for coefficients a on
-    -K..K.
+    k1 + k3 = 0) on the domain |k2 + k3| <= band, for the half spectrum a;
+    returns k = 0..K.
 
     Both pair classes contribute a_k sum_j |a_j|^2 / j over 0 < |j| <= K,
     j != +-k, |k - j| <= band; the doubly resonant diagonal -|a_k|^2 a_k / k
     survives only for |2k| <= band.  At band = K (the truncation-consistent
     domain) the pair sums cancel in j <-> -j pairs except for a band-edge
-    tail.  Window sums come from one prefix sum, O(K).
+    tail.  Window sums over j = -K..K come from one prefix sum, O(K).
     """
-    K = (a.size - 1) // 2
-    k = np.arange(-K, K + 1)
-    nz = k != 0
-    w = np.zeros(a.size)
-    w[nz] = np.abs(a[nz]) ** 2 / k[nz]
+    K = a.size - 1
+    j = np.arange(-K, K + 1)
+    nz = j != 0
+    w = np.zeros(j.size)
+    w[nz] = np.abs(_full_spectrum(a)[nz]) ** 2 / j[nz]
     prefix = np.concatenate(([0.0], np.cumsum(w)))
+    k = np.arange(K + 1)
     lo = np.maximum(k - band, -K) + K
     hi = np.minimum(k + band, K) + K
-    diagonal = np.abs(2 * k) <= band
+    w_k, w_minus_k = w[k + K], w[K - k]
+    diagonal = 2 * k <= band
     # the window always holds j = k, and holds j = -k exactly when |2k| <= band
-    window = prefix[hi + 1] - prefix[lo] - w - np.where(diagonal, w[::-1], 0.0)
+    window = prefix[hi + 1] - prefix[lo] - w_k - np.where(diagonal, w_minus_k, 0.0)
     # w_k a_k = |a_k|^2 a_k / k is the diagonal term
-    out = (1j / 6.0) * a * (2.0 * window - np.where(diagonal, w, 0.0))
-    out[K] = 0.0
+    out = (1j / 6.0) * a * (2.0 * window - np.where(diagonal, w_k, 0.0))
+    out[0] = 0.0
     return out
 
 
@@ -238,17 +215,18 @@ def resonant_cancellation_residual(u: CoefSeq) -> float:
     against the closed diagonal form -(|u_k|^2 u_k)/k.
 
     The two pair classes contribute u_k sum_j |u_j|^2 / j each, which cancels
-    in j <-> -j pairs for Hermitian input; the residual is roundoff-level.
+    in j <-> -j pairs for a real field; the residual is roundoff-level.
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
     K = u.grid.K
+    c = _full_spectrum(u.coef)
     k1v = np.arange(-K, K + 1)
     K1, K2 = np.meshgrid(k1v, k1v, indexing="ij")
     inv1 = np.zeros(2 * K + 1)
     inv1[k1v != 0] = 1.0 / k1v[k1v != 0]
-    W1 = inv1[K1 + K] * u.coef[K1 + K]
-    sums = np.zeros(u.grid.size, dtype=np.complex128)
+    W1 = inv1[K1 + K] * c[K1 + K]
+    sums = np.zeros(c.size, dtype=np.complex128)
     for k in range(-K, K + 1):
         if k == 0:
             continue
@@ -257,12 +235,12 @@ def resonant_cancellation_residual(u: CoefSeq) -> float:
         resonant = valid & (((K1 + K2) == 0) | ((K1 + K3) == 0))
         if not resonant.any():
             continue
-        U3 = u.coef[np.where(resonant, K3 + K, 0)]
-        sums[k + K] = (W1 * u.coef[K2 + K] * U3)[resonant].sum()
-    k = u.grid.modes.astype(np.float64)
+        U3 = c[np.where(resonant, K3 + K, 0)]
+        sums[k + K] = (W1 * c[K2 + K] * U3)[resonant].sum()
+    k = k1v.astype(np.float64)
     expected = np.zeros_like(sums)
     nz = k != 0
-    expected[nz] = -np.abs(u.coef[nz]) ** 2 * u.coef[nz] / k[nz]
+    expected[nz] = -np.abs(c[nz]) ** 2 * c[nz] / k[nz]
     return float(np.max(np.abs(sums - expected)))
 
 

@@ -1,13 +1,14 @@
 """Truncated Fourier representation of mean-zero real fields on the 2*pi torus.
 
-A field u(x) = sum_k u_k e^{ikx} is stored as the complex coefficient vector
-for k = -K..K.  Real fields satisfy u_{-k} = conj(u_k); mean-zero fields have
-u_0 = 0.  All norms are sequence norms: ||u||^2 = sum_{k != 0} |u_k|^2.
+A real field u(x) = sum_k u_k e^{ikx} has u_{-k} = conj(u_k), so its half
+spectrum k = 0..K carries it whole; that is the one stored layout, and a
+field that is not real cannot be built.  Mean-zero fields have u_0 = 0.  All
+norms are sequence norms over both signs of k: ||u||^2 = sum_{k != 0} |u_k|^2.
 
 One product kernel, :func:`product_half`, multiplies real fields given by
-their half spectra k = 0..K through real transforms.  The flow's quadratic
-term, the normal-form operators (whose twisted operands are real fields
-too) and :func:`truncated_convolution` all use it.
+their half spectra through real transforms.  The flow's quadratic term and
+the normal-form operators (whose twisted operands are real fields too) use
+it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-HERMITIAN_TOL = 1e-9
 
 
 def next_alias_free_size(min_size: int) -> int:
@@ -34,7 +33,8 @@ def next_alias_free_size(min_size: int) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spectral truncation: modes |k| <= K, physical sample count P.
+    """Spectral truncation: modes |k| <= K, stored as k = 0..K, and the
+    physical sample count P.
 
     P >= 3K + 1 makes quadratic products exact truncations of the full
     convolution (no aliasing back into |k| <= K).
@@ -53,25 +53,22 @@ class GridSpec:
 
     @property
     def modes(self) -> np.ndarray:
-        """Wavenumbers -K..K in storage order."""
-        return np.arange(-self.K, self.K + 1)
+        """Stored wavenumbers 0..K."""
+        return np.arange(self.K + 1)
 
     @property
     def size(self) -> int:
-        return 2 * self.K + 1
+        return self.K + 1
 
 
 @dataclass(frozen=True)
 class CoefSeq:
-    """Fourier coefficients of a real field, full symmetric range -K..K.
+    """Fourier coefficients u_k, k = 0..K, of a real field; the negative
+    side is u_{-k} = conj(u_k) and is never stored.
 
-    The redundant negative side is stored deliberately: Hermitian symmetry is
-    then a checkable invariant instead of a construction artifact, and the
-    resonance sums index negative wavenumbers directly.
-
-    Mean-zero (u_0 = 0) holds for every constructor in this module; products
-    from :func:`truncated_convolution` keep their mean in the k = 0 slot until
-    the caller projects it away.
+    Every instance is therefore a real field: the constructor rejects a
+    complex k = 0 entry, the one coefficient that is its own partner.
+    Mean-zero (u_0 = 0) holds for every constructor in this module.
     """
 
     grid: GridSpec
@@ -80,9 +77,11 @@ class CoefSeq:
     def __post_init__(self):
         c = np.asarray(self.coef, dtype=np.complex128)
         if c.shape != (self.grid.size,):
-            raise ValueError(f"expected {self.grid.size} coefficients, got {c.shape}")
+            raise ValueError(f"expected {self.grid.size} coefficients k = 0..K, got {c.shape}")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("non-finite coefficient")
+        if c[0].imag != 0.0:
+            raise ValueError(f"the k = 0 coefficient of a real field is real, got {c[0]}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coef", c)
@@ -93,100 +92,54 @@ class CoefSeq:
 
     @classmethod
     def from_modes(cls, grid: GridSpec, modes: dict[int, complex]) -> "CoefSeq":
-        """Build from explicit {k: u_k} entries; unspecified modes are zero."""
+        """Build from explicit {k: u_k} entries with 0 <= k <= K; unspecified
+        modes are zero."""
         c = np.zeros(grid.size, dtype=np.complex128)
         for k, v in modes.items():
-            if abs(k) > grid.K:
-                raise ValueError(f"mode {k} outside |k| <= {grid.K}")
-            c[k + grid.K] = v
+            if not 0 <= k <= grid.K:
+                raise ValueError(f"mode {k} outside 0..{grid.K}")
+            c[k] = v
         return cls(grid, c)
 
     @classmethod
     def cosine(cls, grid: GridSpec, mode: int = 1, amplitude: float = 1.0) -> "CoefSeq":
-        """amplitude * cos(mode * x)."""
-        a = amplitude / 2.0
-        return cls.from_modes(grid, {mode: a, -mode: a})
+        """amplitude * cos(mode * x), for 1 <= mode <= K."""
+        if mode < 1:
+            raise ValueError(f"cosine mode must be >= 1, got {mode}")
+        return cls.from_modes(grid, {mode: amplitude / 2.0})
 
     def mode(self, k: int) -> complex:
+        """u_k for any integer k: conj(u_{-k}) for k < 0, zero for |k| > K."""
         if abs(k) > self.grid.K:
             return 0.0 + 0.0j
-        return complex(self.coef[k + self.grid.K])
-
-    @classmethod
-    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "CoefSeq":
-        """Real field from its coefficients k = 0..K; the negative side is
-        rebuilt by conjugation, so the result is exactly Hermitian."""
-        c = np.empty(grid.size, dtype=np.complex128)
-        c[grid.K :] = half
-        c[: grid.K] = np.conj(half[: 0 : -1])
-        return cls(grid, c)
-
-    def half(self) -> np.ndarray:
-        """Coefficients k = 0..K, the inverse of :meth:`from_half`.  Raises
-        ValueError for a field that is not real, which a half spectrum
-        cannot carry."""
-        if not self.is_real_field():
-            raise ValueError(
-                f"not a real field (Hermitian defect {self.hermitian_defect():.3e}); "
-                "a half spectrum cannot carry it"
-            )
-        return self.coef[self.grid.K :]
+        c = complex(self.coef[abs(k)])
+        return c.conjugate() if k < 0 else c
 
     def with_coef(self, coef: np.ndarray) -> "CoefSeq":
         return CoefSeq(self.grid, coef)
 
-    def hermitian_defect(self) -> float:
-        """max_k |u_{-k} - conj(u_k)|; zero for a real field."""
-        return float(np.max(np.abs(self.coef[::-1] - np.conj(self.coef))))
-
-    def is_real_field(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_defect() <= tol
-
     def is_mean_zero(self) -> bool:
-        return self.coef[self.grid.K] == 0.0
+        return self.coef[0] == 0.0
 
     def l2(self) -> float:
         return sobolev_norm(self, 0.0)
 
 
 def sobolev_norm(u: CoefSeq, s: float) -> float:
-    """Homogeneous H^s sequence norm ( sum_{k != 0} |k|^{2s} |u_k|^2 )^{1/2}.
+    """Homogeneous H^s sequence norm ( sum_{k != 0} |k|^{2s} |u_k|^2 )^{1/2},
+    summed over both signs of k.
 
     s = 0 is the plain l2 norm.  The k = 0 entry never contributes, so the
     homogeneous weight is well defined on this class.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    k = u.grid.modes.astype(np.float64)
-    mask = k != 0
-    w = np.abs(k[mask]) ** (2.0 * s) if s != 0 else 1.0
-    return float(np.sqrt(np.sum(w * np.abs(u.coef[mask]) ** 2)))
-
-
-def project_mean_zero(u: CoefSeq) -> CoefSeq:
-    """Zero the k = 0 coefficient; identity on already mean-zero input."""
-    if u.is_mean_zero():
-        return u
-    c = u.coef.copy()
-    c[u.grid.K] = 0.0
-    return u.with_coef(c)
-
-
-def to_physical(u: CoefSeq) -> np.ndarray:
-    """Real samples u(x_j) on the uniform grid x_j = 2*pi*j/P."""
-    return np.fft.irfft(u.half(), n=u.grid.P, norm="forward")
-
-
-def from_physical(samples: np.ndarray, grid: GridSpec) -> CoefSeq:
-    """Inverse of :func:`to_physical` for band-limited real samples."""
-    samples = np.asarray(samples)
-    if np.iscomplexobj(samples):
-        if np.max(np.abs(samples.imag)) > 1e-10 * max(1.0, np.max(np.abs(samples.real))):
-            raise ValueError("samples are not real-valued")
-        samples = samples.real
-    if samples.shape != (grid.P,):
-        raise ValueError(f"expected {grid.P} samples, got {samples.shape}")
-    return CoefSeq.from_half(grid, np.fft.rfft(samples, norm="forward")[: grid.K + 1])
+    k = np.arange(1, u.grid.K + 1, dtype=np.float64)
+    w = k ** (2.0 * s) if s != 0 else 1.0
+    x = w * np.abs(u.coef[1:]) ** 2
+    # the terms of k < 0 repeat those of k > 0; adding them in the order
+    # -K..-1, 1..K keeps the rounding of the sum over the whole spectrum
+    return float(np.sqrt(np.sum(np.concatenate((x[::-1], x)))))
 
 
 def product_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -202,18 +155,6 @@ def product_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     pa = np.fft.irfft(a, n=grid.P, norm="forward")
     pb = pa if b is a else np.fft.irfft(b, n=grid.P, norm="forward")
     return np.fft.rfft(pa * pb, norm="forward")[..., : grid.K + 1]
-
-
-def truncated_convolution(u: CoefSeq, v: CoefSeq) -> CoefSeq:
-    """:func:`product_half` on coefficient sequences of real fields on one
-    grid.
-
-    The product of two real mean-zero fields is real but generally not
-    mean-zero; the mean stays in the k = 0 slot for the caller to project.
-    """
-    if u.grid != v.grid:
-        raise ValueError(f"grid mismatch: {u.grid} vs {v.grid}")
-    return CoefSeq.from_half(u.grid, product_half(u.half(), v.half(), u.grid))
 
 
 def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float) -> CoefSeq:
@@ -233,5 +174,5 @@ def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float
     # scalar powers: numpy's array power can differ from them in the last bit
     decay = np.array([k**-sigma for k in range(1, grid.K + 1)])
     half[1:] = decay * np.exp(1j * phases)
-    raw = CoefSeq.from_half(grid, half)
+    raw = CoefSeq(grid, half)
     return raw.with_coef(raw.coef * (target_l2 / raw.l2()))

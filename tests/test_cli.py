@@ -148,6 +148,10 @@ class TestDispatch:
         ("attractor", "s.values=[]"),
         ("smoothing", "s.values=[]"),
         ("smoothing", "ladder.k=[64,64,64]"),
+        ("envelope", "forcing.mode=0"),
+        ("envelope", "forcing.mode=500"),
+        ("simulate", "forcing.mode=-1"),
+        ("kdv-limit", "init.mode=500"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
         code = run_cli(command, "--out", str(tmp_path), "--quiet", "--set", override)

@@ -4,9 +4,7 @@ import pytest
 from fdkdv.flow import FlowParams, TrajectoryRecord, evolve, step
 from fdkdv.normal_form import (
     NormalFormFrame,
-    TripleClass,
     _resonant_cubic_banded,
-    classify_triple,
     nonresonant_cubic,
     normal_form_bilinear,
     normal_form_residual,
@@ -22,16 +20,21 @@ def hermitian_state(grid, seed, decay=1.0, scale=1.0):
     rng = np.random.default_rng(seed)
     c = np.zeros(grid.size, dtype=np.complex128)
     for k in range(1, grid.K + 1):
-        val = scale * (rng.normal() + 1j * rng.normal()) * k**-decay
-        c[k + grid.K] = val
-        c[-k + grid.K] = np.conj(val)
+        c[k] = scale * (rng.normal() + 1j * rng.normal()) * k**-decay
     return CoefSeq(grid, c)
 
 
+def full(u):
+    """Coefficients k = -K..K of u, the negative side read through mode(k)."""
+    return np.array([u.mode(k) for k in range(-u.grid.K, u.grid.K + 1)])
+
+
 def bilinear_oracle(u, v, t):
-    """(1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2), summed directly."""
+    """(1/6) sum_{k1+k2=k} e^{-3i k k1 k2 t} u_{k1} v_{k2} / (k1 k2), summed
+    directly over k = -K..K."""
     K = u.grid.K
-    expected = np.zeros(u.grid.size, dtype=np.complex128)
+    uf, vf = full(u), full(v)
+    expected = np.zeros(2 * K + 1, dtype=np.complex128)
     for k in range(-K, K + 1):
         if k == 0:
             continue
@@ -40,7 +43,7 @@ def bilinear_oracle(u, v, t):
             k2 = k - k1
             if k1 == 0 or k2 == 0 or abs(k2) > K:
                 continue
-            acc += np.exp(-3j * k * k1 * k2 * t) * u.coef[k1 + K] * v.coef[k2 + K] / (k1 * k2)
+            acc += np.exp(-3j * k * k1 * k2 * t) * uf[k1 + K] * vf[k2 + K] / (k1 * k2)
         expected[k + K] = acc / 6.0
     return expected
 
@@ -49,9 +52,10 @@ def cubic_oracle(u, t, band, resonant):
     """(i/6) sum_{k1+k2+k3=k} e^{-3i t (k1+k2)(k1+k3)(k2+k3)} u_{k1} u_{k2} u_{k3} / k1
     by triple enumeration over nonzero k_i with k2 + k3 != 0 and
     |k2 + k3| <= band (None: no band); resonant=True keeps only triples with
-    a vanishing pair sum, False only the others, None all of them."""
+    a vanishing pair sum, False only the others, None all of them; k = -K..K."""
     K = u.grid.K
-    expected = np.zeros(u.grid.size, dtype=np.complex128)
+    uf = full(u)
+    expected = np.zeros(2 * K + 1, dtype=np.complex128)
     for k1 in range(-K, K + 1):
         for k2 in range(-K, K + 1):
             for k3 in range(-K, K + 1):
@@ -68,9 +72,9 @@ def cubic_oracle(u, t, band, resonant):
                 expected[k + K] += (
                     (1j / 6.0)
                     * np.exp(-3j * t * phase)
-                    * u.coef[k1 + K]
-                    * u.coef[k2 + K]
-                    * u.coef[k3 + K]
+                    * uf[k1 + K]
+                    * uf[k2 + K]
+                    * uf[k3 + K]
                     / k1
                 )
     return expected
@@ -90,7 +94,7 @@ class TestThirdAntiderivative:
         v = third_antiderivative(f)
         k = g.modes.astype(np.float64)
         back = (1j * k) ** 3 * v.coef
-        back[g.K] = 0.0
+        back[0] = 0.0
         assert np.max(np.abs(back - f.coef)) < 1e-13
 
     def test_zero(self):
@@ -148,7 +152,7 @@ class TestNormalFormFrame:
 class TestNormalFormBilinear:
     def test_single_pair_sum(self):
         g = GridSpec(8)
-        u = CoefSeq.from_modes(g, {1: 1.0, -1: 1.0})
+        u = CoefSeq.from_modes(g, {1: 1.0})
         b = normal_form_bilinear(u, u)
         assert b.mode(2) == pytest.approx(1.0 / 6.0, abs=1e-15)
         # the (1, -1) pairing would land at k = 0, which is zero by definition
@@ -156,7 +160,7 @@ class TestNormalFormBilinear:
 
     def test_phase_periodicity(self):
         g = GridSpec(8)
-        u = CoefSeq.from_modes(g, {1: 1.0, -1: 1.0})
+        u = CoefSeq.from_modes(g, {1: 1.0})
         b = normal_form_bilinear(u, u, t=np.pi / 3.0)
         # k=2 term has phase e^{-6it} = e^{-2 pi i} = 1
         assert b.mode(2) == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -169,7 +173,7 @@ class TestNormalFormBilinear:
             for t in (0.0, 0.37):
                 for a, b in ((u, v), (u, u)):
                     got = normal_form_bilinear(a, b, t)
-                    assert np.max(np.abs(got.coef - bilinear_oracle(a, b, t))) < 1e-13, (K, t)
+                    assert np.max(np.abs(full(got) - bilinear_oracle(a, b, t))) < 1e-13, (K, t)
 
     def test_bilinear(self):
         g = GridSpec(12)
@@ -182,23 +186,20 @@ class TestNormalFormBilinear:
 
     @pytest.mark.parametrize("t", [0.0, 0.61])
     def test_hermitian_preservation(self, t):
+        # the direct sums at k < 0 are the conjugates of those at -k, which
+        # is what the stored half spectrum claims through mode(k)
         g = GridSpec(16)
         u = hermitian_state(g, seed=10)
         v = hermitian_state(g, seed=11)
-        assert normal_form_bilinear(u, v, t).is_real_field(1e-12)
-
-    @pytest.mark.parametrize("t", [0.0, 0.37])
-    def test_output_exactly_hermitian(self, t):
-        g = GridSpec(16)
-        u = hermitian_state(g, seed=10)
-        v = hermitian_state(g, seed=11)
-        for a, b in ((u, v), (u, u)):
-            assert normal_form_bilinear(a, b, t).hermitian_defect() == 0.0
+        expected = bilinear_oracle(u, v, t)
+        assert np.max(np.abs(expected[:16] - np.conj(expected[:16:-1]))) < 1e-13
+        got = normal_form_bilinear(u, v, t)
+        assert max(abs(got.mode(k) - expected[k + 16]) for k in range(-16, 0)) < 1e-13
 
     def test_two_mode_norm_ratio_closed_form(self):
         # u = v with u_{+-1} = 1: ratio ||B(u,u)||_{H^s} / (||u|| ||v||) = 2^{s-1/2}/6
         g = GridSpec(8)
-        u = CoefSeq.from_modes(g, {1: 1.0, -1: 1.0})
+        u = CoefSeq.from_modes(g, {1: 1.0})
         b = normal_form_bilinear(u, u)
         ratio = sobolev_norm(b, 0.5) / (u.l2() ** 2)
         assert ratio == pytest.approx(1.0 / 6.0, abs=1e-14)
@@ -220,23 +221,15 @@ class TestNormalFormBilinear:
 
     def test_rejects_non_mean_zero(self):
         g = GridSpec(8)
-        bad = CoefSeq.from_modes(g, {0: 1.0, 1: 1.0, -1: 1.0})
+        bad = CoefSeq.from_modes(g, {0: 1.0, 1: 1.0})
         with pytest.raises(ValueError):
             normal_form_bilinear(bad, bad)
-
-    def test_rejects_non_real_field(self):
-        g = GridSpec(8)
-        bad = CoefSeq.from_modes(g, {1: 1.0})  # e^{ix}: no conjugate partner
-        u = hermitian_state(g, seed=12)
-        for a, b in ((bad, u), (u, bad), (bad, bad)):
-            with pytest.raises(ValueError, match="not a real field"):
-                normal_form_bilinear(a, b, 0.37)
 
 
 class TestResonantCubic:
     def test_two_mode_arithmetic(self):
         g = GridSpec(4)
-        u = CoefSeq.from_modes(g, {1: 2.0, -1: 2.0})
+        u = CoefSeq.from_modes(g, {1: 2.0})
         r = resonant_cubic(u)
         assert r.mode(1) == pytest.approx(-4j / 3.0, abs=1e-14)
         assert r.mode(-1) == pytest.approx(4j / 3.0, abs=1e-14)
@@ -245,8 +238,12 @@ class TestResonantCubic:
         assert np.all(resonant_cubic(CoefSeq.zeros(GridSpec(4))).coef == 0)
 
     def test_hermitian_output(self):
+        # the closed form -(i / 6k) |u_k|^2 u_k holds at k < 0 too
         u = hermitian_state(GridSpec(32), seed=12)
-        assert resonant_cubic(u).is_real_field(1e-13)
+        r = resonant_cubic(u)
+        for k in range(-32, 0):
+            expected = (-1j / (6.0 * k)) * abs(u.mode(k)) ** 2 * u.mode(k)
+            assert r.mode(k) == pytest.approx(expected, abs=1e-15)
 
     def test_cubic_bound_random_trials(self):
         g = GridSpec(64)
@@ -256,65 +253,10 @@ class TestResonantCubic:
             assert sobolev_norm(r, 0.5) <= u.l2() ** 3
 
 
-class TestClassifyTriple:
-    def test_paper_examples(self):
-        assert classify_triple(-2, 2, 2) is TripleClass.DOUBLY_RESONANT
-        assert classify_triple(3, -3, 1) is TripleClass.PAIR_12
-        assert classify_triple(3, 1, -3) is TripleClass.PAIR_13
-        assert classify_triple(1, 2, 3) is TripleClass.NONRESONANT
-
-    def test_nonresonant_factor(self):
-        k1, k2, k3 = 1, 2, 3
-        assert (k1 + k2) * (k1 + k3) * (k2 + k3) == 60
-
-    def test_excluded_domain(self):
-        assert classify_triple(5, 2, -2) is TripleClass.EXCLUDED
-
-    def test_rejects_zero_wavenumber(self):
-        with pytest.raises(ValueError):
-            classify_triple(0, 1, 2)
-
-    def test_partition_is_exhaustive_and_disjoint_to_64(self):
-        # vectorized oracle over the whole |k_i| <= 64 lattice: the five
-        # label conditions must cover every nonzero triple exactly once
-        k = np.arange(-64, 65)
-        k = k[k != 0]
-        K1, K2, K3 = np.meshgrid(k, k, k, indexing="ij", sparse=True)
-        excluded = K2 + K3 == 0
-        nonres = ~excluded & ((K1 + K2) != 0) & ((K1 + K3) != 0)
-        doubly = ~excluded & ((K1 + K2) == 0) & ((K1 + K3) == 0)
-        p12 = ~excluded & ((K1 + K2) == 0) & ((K1 + K3) != 0)
-        p13 = ~excluded & ((K1 + K2) != 0) & ((K1 + K3) == 0)
-        count = (
-            excluded.astype(np.int8)
-            + nonres.astype(np.int8)
-            + doubly.astype(np.int8)
-            + p12.astype(np.int8)
-            + p13.astype(np.int8)
-        )
-        assert count.min() == 1 and count.max() == 1
-
-    def test_classifier_agrees_with_pair_sum_logic_on_samples(self):
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            k1, k2, k3 = (int(x) for x in rng.integers(1, 65, size=3) * rng.choice([-1, 1], 3))
-            label = classify_triple(k1, k2, k3)
-            if k2 + k3 == 0:
-                assert label is TripleClass.EXCLUDED
-            elif (k1 + k2) != 0 and (k1 + k3) != 0:
-                assert label is TripleClass.NONRESONANT
-            elif (k1 + k2) == 0 and (k1 + k3) == 0:
-                assert label is TripleClass.DOUBLY_RESONANT
-            elif (k1 + k2) == 0:
-                assert label is TripleClass.PAIR_12
-            else:
-                assert label is TripleClass.PAIR_13
-
-
 class TestNonresonantCubic:
     def test_two_mode_values(self):
         g = GridSpec(4)
-        u = CoefSeq.from_modes(g, {1: 1.0, -1: 1.0})
+        u = CoefSeq.from_modes(g, {1: 1.0})
         r = nonresonant_cubic(u)
         # k=3 receives only the (1,1,1) triple; every triple summing to 1
         # from {+-1} hits a vanishing pair sum
@@ -332,7 +274,7 @@ class TestNonresonantCubic:
             for band in (None, K, K // 2):
                 expected = cubic_oracle(u, t, band, resonant=False)
                 got = nonresonant_cubic(u, t, pair_sum_band=band)
-                assert np.max(np.abs(got.coef - expected)) < 1e-13, (K, band)
+                assert np.max(np.abs(full(got) - expected)) < 1e-13, (K, band)
 
     def test_cubic_homogeneity(self):
         g = GridSpec(8)
@@ -344,19 +286,19 @@ class TestNonresonantCubic:
 
     @pytest.mark.parametrize("t", [0.0, 0.29])
     def test_hermitian_preservation(self, t):
-        u = hermitian_state(GridSpec(12), seed=15)
-        assert nonresonant_cubic(u, t).is_real_field(1e-12)
+        # the triple sums at k < 0 are the conjugates of those at -k, which
+        # is what the stored half spectrum claims through mode(k)
+        u = hermitian_state(GridSpec(6), seed=15)
+        expected = cubic_oracle(u, t, None, resonant=False)
+        assert np.max(np.abs(expected[:6] - np.conj(expected[:6:-1]))) < 1e-13
+        got = nonresonant_cubic(u, t)
+        assert max(abs(got.mode(k) - expected[k + 6]) for k in range(-6, 0)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.0, 0.37])
-    def test_output_exactly_hermitian(self, t):
-        u = hermitian_state(GridSpec(12), seed=15)
-        for band in (None, 12, 6):
-            assert nonresonant_cubic(u, t, pair_sum_band=band).hermitian_defect() == 0.0
-
-    def test_rejects_non_real_field(self):
-        bad = CoefSeq.from_modes(GridSpec(8), {1: 1.0, 2: 0.5, -2: 0.5})
-        with pytest.raises(ValueError, match="not a real field"):
-            nonresonant_cubic(bad, 0.37)
+    def test_exact_zero_when_every_triple_is_resonant(self, t):
+        u = CoefSeq.from_modes(GridSpec(1), {1: 0.7 - 0.4j})
+        for band in (None, 1, 0):
+            assert np.all(nonresonant_cubic(u, t, pair_sum_band=band).coef == 0)
 
 
 class TestResonantCubicBanded:
@@ -365,14 +307,14 @@ class TestResonantCubicBanded:
             u = hermitian_state(GridSpec(K), seed=17)
             for band in (0, K // 2, K, 2 * K):
                 expected = cubic_oracle(u, 0.0, band, resonant=True)
-                got = _resonant_cubic_banded(u.coef, band)
-                assert np.max(np.abs(got - expected)) < 1e-14, (K, band)
+                got = CoefSeq(u.grid, _resonant_cubic_banded(u.coef, band))
+                assert np.max(np.abs(full(got) - expected)) < 1e-14, (K, band)
 
     def test_cubic_sum_splits_into_resonant_and_nonresonant(self):
         u = hermitian_state(GridSpec(8), seed=18)
-        full = cubic_oracle(u, 0.0, 8, resonant=None)
+        cubic = cubic_oracle(u, 0.0, 8, resonant=None)
         split = nonresonant_cubic(u, 0.0, pair_sum_band=8).coef + _resonant_cubic_banded(u.coef, 8)
-        assert np.max(np.abs(full - split)) < 1e-14
+        assert np.max(np.abs(cubic[8:] - split)) < 1e-14
 
 
 class TestResonantCancellation:
@@ -382,7 +324,7 @@ class TestResonantCancellation:
 
     def test_two_mode_support_reproduces_diagonal_exactly(self):
         g = GridSpec(4)
-        u = CoefSeq.from_modes(g, {1: 0.5 + 0.25j, -1: 0.5 - 0.25j})
+        u = CoefSeq.from_modes(g, {1: 0.5 + 0.25j})
         assert resonant_cancellation_residual(u) < 1e-16
 
     def test_zero(self):
@@ -401,30 +343,28 @@ class TestDifferentialIdentity:
         lam = gamma - 1j * k**3
         y = v.coef * np.exp(lam * t)
         a = CoefSeq(g, z.coef + y)
+        af = full(a)
 
-        # quadratic term of the twisted equation (independent double loop)
+        # quadratic term of the twisted equation (independent double loop;
+        # k >= 0, the negative side is its conjugate)
         quad = np.zeros(g.size, dtype=np.complex128)
-        for kk in range(-K, K + 1):
-            if kk == 0:
-                continue
+        for kk in range(1, K + 1):
             acc = 0.0 + 0.0j
             for k1 in range(-K, K + 1):
                 k2 = kk - k1
                 if k1 == 0 or k2 == 0 or abs(k2) > K:
                     continue
-                acc += np.exp(-3j * kk * k1 * k2 * t) * a.coef[k1 + K] * a.coef[k2 + K]
-            quad[kk + K] = -0.5j * kk * acc
+                acc += np.exp(-3j * kk * k1 * k2 * t) * af[k1 + K] * af[k2 + K]
+            quad[kk] = -0.5j * kk * acc
 
         dz = -gamma * y + np.exp(-gamma * t) * quad
-        dz[K] = 0.0
+        dz[0] = 0.0
         dy = lam * y
         da = CoefSeq(g, dz + dy)
 
         # d/dt of the bilinear bracket: phase derivative + two slot derivatives
         phase_deriv = np.zeros(g.size, dtype=np.complex128)
-        for kk in range(-K, K + 1):
-            if kk == 0:
-                continue
+        for kk in range(1, K + 1):
             acc = 0.0 + 0.0j
             for k1 in range(-K, K + 1):
                 k2 = kk - k1
@@ -433,11 +373,11 @@ class TestDifferentialIdentity:
                 acc += (
                     (-3j * kk * k1 * k2)
                     * np.exp(-3j * kk * k1 * k2 * t)
-                    * a.coef[k1 + K]
-                    * a.coef[k2 + K]
+                    * af[k1 + K]
+                    * af[k2 + K]
                     / (k1 * k2)
                 )
-            phase_deriv[kk + K] = acc / 6.0
+            phase_deriv[kk] = acc / 6.0
 
         B = normal_form_bilinear
         lhs = dz + gamma * np.exp(-gamma * t) * B(a, a, t).coef - np.exp(-gamma * t) * (

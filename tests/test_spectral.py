@@ -4,14 +4,10 @@ import pytest
 from fdkdv.spectral import (
     CoefSeq,
     GridSpec,
-    from_physical,
     next_alias_free_size,
     product_half,
-    project_mean_zero,
     random_rough_state,
     sobolev_norm,
-    to_physical,
-    truncated_convolution,
 )
 
 
@@ -30,10 +26,47 @@ def random_field(grid, seed, decay=1.0):
     rng = np.random.default_rng(seed)
     c = np.zeros(grid.size, dtype=np.complex128)
     for k in range(1, grid.K + 1):
-        val = (rng.normal() + 1j * rng.normal()) * k**-decay
-        c[k + grid.K] = val
-        c[-k + grid.K] = np.conj(val)
+        c[k] = (rng.normal() + 1j * rng.normal()) * k**-decay
     return CoefSeq(grid, c)
+
+
+class TestCoefSeq:
+    def test_stores_the_half_spectrum(self):
+        g = GridSpec(8)
+        assert g.size == 9
+        assert np.array_equal(g.modes, np.arange(9))
+        u = CoefSeq.cosine(g, mode=3, amplitude=2.0)
+        assert u.coef.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+
+    def test_negative_modes_are_conjugates(self):
+        u = random_field(GridSpec(8), seed=1)
+        for k in range(1, 9):
+            assert u.mode(-k) == np.conj(u.mode(k))
+            assert u.mode(k) == u.coef[k]
+        assert u.mode(9) == 0.0 and u.mode(-9) == 0.0
+
+    def test_rejects_wrong_shape(self):
+        g = GridSpec(4)
+        for n in (2 * g.K + 1, g.K):
+            with pytest.raises(ValueError, match="coefficients"):
+                CoefSeq(g, np.zeros(n, dtype=np.complex128))
+
+    def test_rejects_complex_mean(self):
+        g = GridSpec(4)
+        c = np.zeros(g.size, dtype=np.complex128)
+        c[0] = 1.0 + 1e-300j
+        with pytest.raises(ValueError, match="k = 0"):
+            CoefSeq(g, c)
+        c[0] = 1.0
+        assert CoefSeq(g, c).mode(0) == 1.0
+
+    def test_from_modes_rejects_keys_outside_half_spectrum(self):
+        g = GridSpec(4)
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside"):
+                CoefSeq.from_modes(g, {k: 1.0})
+        with pytest.raises(ValueError):
+            CoefSeq.cosine(g, mode=0)
 
 
 class TestGridSpec:
@@ -67,7 +100,7 @@ class TestSobolevNorm:
         assert sobolev_norm(u, s) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_mode_two_half_weight(self):
-        u = CoefSeq.from_modes(GridSpec(8), {2: 0.5, -2: 0.5})
+        u = CoefSeq.from_modes(GridSpec(8), {2: 0.5})
         assert sobolev_norm(u, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_negative_s(self):
@@ -83,72 +116,52 @@ class TestSobolevNorm:
 class TestConvolution:
     def test_cosine_squared(self):
         # cos^2 x = 1/2 + cos(2x)/2: w_0 = 1/2, w_2 = 1/4
-        u = CoefSeq.cosine(GridSpec(8))
-        w = truncated_convolution(u, u)
-        assert w.mode(2) == pytest.approx(0.25, abs=1e-14)
-        assert w.mode(0) == pytest.approx(0.5, abs=1e-14)
-        assert w.mode(1) == pytest.approx(0.0, abs=1e-14)
+        g = GridSpec(8)
+        u = CoefSeq.cosine(g).coef
+        w = product_half(u, u, g)
+        assert w[2] == pytest.approx(0.25, abs=1e-14)
+        assert w[0] == pytest.approx(0.5, abs=1e-14)
+        assert w[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_zero(self):
         g = GridSpec(8)
-        w = truncated_convolution(CoefSeq.zeros(g), CoefSeq.zeros(g))
-        assert np.all(w.coef == 0)
+        zero = CoefSeq.zeros(g).coef
+        assert np.all(product_half(zero, zero.copy(), g) == 0)
 
     @pytest.mark.parametrize("K", [8, 16])
     def test_matches_direct_sum_oracle(self, K):
-        # independent O(K^2) oracle, written out here rather than imported
+        # independent O(K^2) oracle over both signs of k, reading the
+        # negative modes through CoefSeq.mode
         g = GridSpec(K)
         u = random_field(g, seed=1)
         v = random_field(g, seed=2)
-        expected = np.zeros(g.size, dtype=np.complex128)
-        for k in range(-K, K + 1):
-            acc = 0.0 + 0.0j
-            for n in range(-K, K + 1):
-                m = k - n
-                if abs(m) <= K:
-                    acc += u.coef[n + K] * v.coef[m + K]
-            expected[k + K] = acc
-        w = truncated_convolution(u, v)
-        assert np.max(np.abs(w.coef - expected)) < 1e-12
+        expected = np.array([
+            sum(u.mode(n) * v.mode(k - n) for n in range(-K, K + 1)) for k in range(K + 1)
+        ])
+        w = product_half(u.coef, v.coef, g)
+        assert np.max(np.abs(w - expected)) < 1e-12
 
     def test_same_operand_is_bit_identical_to_a_copy(self):
         g = GridSpec(16)
-        a = random_field(g, seed=4).coef[g.K :]
+        a = random_field(g, seed=4).coef
         assert np.array_equal(product_half(a, a, g), product_half(a, a.copy(), g))
 
     def test_bilinear_and_symmetric(self):
         g = GridSpec(12)
-        u, v, w = (random_field(g, s) for s in (5, 6, 7))
-        ab = truncated_convolution(u, v)
-        ba = truncated_convolution(v, u)
-        assert np.max(np.abs(ab.coef - ba.coef)) < 1e-13
-        lhs = truncated_convolution(u.with_coef(2 * u.coef + w.coef), v)
-        rhs = 2 * truncated_convolution(u, v).coef + truncated_convolution(w, v).coef
-        assert np.max(np.abs(lhs.coef - rhs)) < 1e-12
-
-    def test_hermitian_output(self):
-        g = GridSpec(16)
-        w = truncated_convolution(random_field(g, 8), random_field(g, 9))
-        assert w.is_real_field(1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            truncated_convolution(CoefSeq.cosine(GridSpec(8)), CoefSeq.cosine(GridSpec(9)))
-
-    def test_non_real_field_rejected(self):
-        g = GridSpec(8)
-        bad = CoefSeq.from_modes(g, {1: 1.0})  # e^{ix}: no conjugate partner
-        with pytest.raises(ValueError, match="not a real field"):
-            truncated_convolution(bad, CoefSeq.cosine(g))
-        with pytest.raises(ValueError, match="not a real field"):
-            truncated_convolution(CoefSeq.cosine(g), bad)
+        u, v, w = (random_field(g, s).coef for s in (5, 6, 7))
+        ab = product_half(u, v, g)
+        ba = product_half(v, u, g)
+        assert np.max(np.abs(ab - ba)) < 1e-13
+        lhs = product_half(2 * u + w, v, g)
+        rhs = 2 * product_half(u, v, g) + product_half(w, v, g)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestHalfSpectrum:
     @pytest.mark.parametrize("K", [1, 8, 33])
     def test_square_matches_full_convolution_per_member(self, K):
         g = GridSpec(K)
-        c = np.stack([random_field(g, seed).coef[K:] for seed in (10, 11, 12)])
+        c = np.stack([random_field(g, seed).coef for seed in (10, 11, 12)])
         got = product_half(c, c, g)
         assert got.shape == (3, K + 1)
         for row, a in zip(got, c):
@@ -157,71 +170,12 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("K", [1, 8, 33])
     def test_product_matches_direct_sum_per_member(self, K):
         g = GridSpec(K)
-        a = np.stack([random_field(g, seed).coef[K:] for seed in (20, 21, 22)])
-        b = np.stack([random_field(g, seed).coef[K:] for seed in (23, 24, 25)])
+        a = np.stack([random_field(g, seed).coef for seed in (20, 21, 22)])
+        b = np.stack([random_field(g, seed).coef for seed in (23, 24, 25)])
         got = product_half(a, b, g)
         assert got.shape == (3, K + 1)
         for row, x, y in zip(got, a, b):
             assert np.max(np.abs(row - product_oracle(x, y, K))) < 1e-13
-
-    def test_from_half_rebuilds_the_full_field(self):
-        g = GridSpec(16)
-        u = random_field(g, 13)
-        v = CoefSeq.from_half(g, u.coef[g.K :])
-        assert np.array_equal(v.coef, u.coef)
-        assert v.hermitian_defect() == 0.0
-
-
-class TestProjectMeanZero:
-    def test_removes_product_mean(self):
-        u = CoefSeq.cosine(GridSpec(8))
-        w = project_mean_zero(truncated_convolution(u, u))
-        assert w.mode(0) == 0.0
-        assert w.mode(2) == pytest.approx(0.25, abs=1e-14)
-
-    def test_idempotent_on_mean_zero(self):
-        u = random_field(GridSpec(8), seed=4)
-        assert project_mean_zero(u) is u
-
-    def test_constant_field_maps_to_zero(self):
-        g = GridSpec(4)
-        u = CoefSeq.from_modes(g, {0: 3.0})
-        assert np.all(project_mean_zero(u).coef == 0)
-
-
-class TestPhysicalTransforms:
-    def test_cosine_samples(self):
-        g = GridSpec(8)
-        x = 2 * np.pi * np.arange(g.P) / g.P
-        assert np.max(np.abs(to_physical(CoefSeq.cosine(g)) - np.cos(x))) < 1e-13
-
-    def test_sine_samples(self):
-        g = GridSpec(8)
-        u = CoefSeq.from_modes(g, {2: -0.5j, -2: 0.5j})
-        x = 2 * np.pi * np.arange(g.P) / g.P
-        assert np.max(np.abs(to_physical(u) - np.sin(2 * x))) < 1e-13
-
-    def test_round_trip_identity(self):
-        g = GridSpec(16)
-        u = random_field(g, seed=11)
-        v = from_physical(to_physical(u), g)
-        assert np.max(np.abs(v.coef - u.coef)) < 1e-12
-
-    def test_parseval_at_truncation(self):
-        g = GridSpec(16)
-        u = random_field(g, seed=12)
-        phys = to_physical(u)
-        assert np.mean(phys**2) == pytest.approx(np.sum(np.abs(u.coef) ** 2), rel=1e-12)
-
-    def test_rejects_non_real_field(self):
-        g = GridSpec(8)
-        with pytest.raises(ValueError, match="not a real field"):
-            to_physical(CoefSeq.from_modes(g, {2: 1.0}))
-
-    def test_rejects_complex_samples(self):
-        g = GridSpec(4)
-        with pytest.raises(ValueError):
-            from_physical(np.ones(g.P) * (1 + 0.5j), g)
 
 
 class TestRandomRoughState:
@@ -244,8 +198,13 @@ class TestRandomRoughState:
         # seeded fields feed the pinned experiment references; any change of
         # draw order or arithmetic shows here as an inexact match
         u = random_rough_state(GridSpec(K), sigma, seed=seed, target_l2=target)
-        assert u.coef[K:].tolist() == expected
-        assert u.hermitian_defect() == 0.0
+        assert u.coef.tolist() == expected
+
+    def test_pinned_norm_sums_both_signs_in_order(self):
+        # the l2 norm adds the terms of k = -K..-1, 1..K in that order; at
+        # K = 64 that rounds differently from twice the sum over k > 0
+        u = random_rough_state(GridSpec(64), 0.8, seed=2, target_l2=1.0)
+        assert u.l2() == 0.9999999999999998  # 2 * sum over k > 0 gives 1.0
 
     def test_rescaled_to_target(self):
         u = random_rough_state(GridSpec(32), 1.5, seed=3, target_l2=2.5)
@@ -254,14 +213,14 @@ class TestRandomRoughState:
     def test_mean_zero_real_field(self):
         u = random_rough_state(GridSpec(16), 0.6, seed=5, target_l2=1.0)
         assert u.is_mean_zero()
-        assert u.is_real_field(0.0)
+        assert u.coef.shape == (17,)
 
     def test_low_modes_shared_across_truncations(self):
         a = random_rough_state(GridSpec(64), 0.55, seed=9, target_l2=1.0)
         b = random_rough_state(GridSpec(128), 0.55, seed=9, target_l2=1.0)
         # same phases; moduli differ only by the rescaling factor
-        ka = a.coef[a.grid.K + 1 :]
-        kb = b.coef[b.grid.K + 1 : b.grid.K + 65]
+        ka = a.coef[1:]
+        kb = b.coef[1:65]
         ratio = kb / ka
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
