@@ -151,15 +151,15 @@ def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = No
     of real fields taken on the 2K grid so that the pair sums m reach
     |m| <= 2K without aliasing.  The resonant triples in it have phase 1
     and are subtracted in closed form (:func:`_resonant_cubic_banded`);
-    O(K log K) overall.  At K = 1 every triple is resonant and the result is
-    exactly zero.
+    O(K log K) overall.  The nonresonant domain is empty at K = 1 (every
+    triple is resonant) and at band 0, and there the result is exactly zero.
     """
     if not u.is_mean_zero():
         raise ValueError("input must be mean-zero")
     K = u.grid.K
-    if K == 1:
-        return CoefSeq.zeros(u.grid)
     band = 2 * K if pair_sum_band is None else min(max(pair_sum_band, 0), 2 * K)
+    if K == 1 or band == 0:
+        return CoefSeq.zeros(u.grid)
     wide = GridSpec(2 * K)
     q, twist = _twisted_antiderivative(u, t)
     tilde = u.coef * twist

@@ -134,9 +134,9 @@ def sobolev_norm(u: CoefSeq, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    k = np.arange(1, u.grid.K + 1, dtype=np.float64)
-    w = k ** (2.0 * s) if s != 0 else 1.0
-    x = w * np.abs(u.coef[1:]) ** 2
+    x = np.abs(u.coef[1:]) ** 2
+    if s != 0:
+        x = np.arange(1, u.grid.K + 1, dtype=np.float64) ** (2.0 * s) * x
     # the terms of k < 0 repeat those of k > 0; adding them in the order
     # -K..-1, 1..K keeps the rounding of the sum over the whole spectrum
     return float(np.sqrt(np.sum(np.concatenate((x[::-1], x)))))

@@ -295,10 +295,13 @@ class TestNonresonantCubic:
         assert max(abs(got.mode(k) - expected[k + 6]) for k in range(-6, 0)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.0, 0.37])
-    def test_exact_zero_when_every_triple_is_resonant(self, t):
+    def test_exact_zero_on_an_empty_domain(self, t):
+        # at K = 1 every triple is resonant; band 0 admits no pair sum
         u = CoefSeq.from_modes(GridSpec(1), {1: 0.7 - 0.4j})
         for band in (None, 1, 0):
             assert np.all(nonresonant_cubic(u, t, pair_sum_band=band).coef == 0)
+        u = random_rough_state(GridSpec(17), 1.2, seed=3, target_l2=1.0)
+        assert np.all(nonresonant_cubic(u, t, pair_sum_band=0).coef == 0)
 
 
 class TestResonantCubicBanded:
