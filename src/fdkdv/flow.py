@@ -19,6 +19,22 @@ quadratic term is the package's one product kernel,
 :func:`~fdkdv.spectral.product_half`, on the state twice (one inverse
 transform, squared, one transform).  A single run is a batch of one, and
 each member of a batch is bit-identical to its solo run.
+
+Stepping allocates nothing per step.  The kernel for one (params, h, M)
+owns its work arrays: a physical buffer (M, P), a spectrum (M, P//2+1),
+four stage results and two temporaries.  The transforms write into them
+through the ``out=`` argument of ``np.fft.irfft``/``np.fft.rfft`` (numpy
+>= 2.0), and every other operation is an in-place ufunc.  Each in-place
+operation is one of the plain expressions quoted in the kernel, applied to
+the same operands in the same order, so every state is bit-identical to
+the plain expressions' result; ``tests/test_flow.py`` pins this against an
+allocating copy of them.
+
+:func:`evolve_batch` steps up to ``_BLOCK`` states into one preallocated
+(B, M, K+1) buffer, then runs one norm and finiteness pass over the whole
+block.  A non-finite state raises StepFailureError with the time and
+member of the first failing step, as a check after every step would.
+Sampled states are recorded only after their block passed the check.
 """
 
 from __future__ import annotations
@@ -145,57 +161,108 @@ def _etdrk4_coeffs(lam: np.ndarray, h: float, contour_points: int = 32):
     return Q, f1, f2, f3
 
 
-class _Stepper:
-    """Precomputed one-step kernel for a fixed (params, h), acting on half
-    spectra of shape (M, K+1): modes k = 0..K, one row per batch member.
-    The k = 0 slot of every output is zero."""
+# States per health check in evolve_batch: a block of states is stepped into
+# one buffer and checked with one norm pass before any of it is recorded.
+_BLOCK = 64
 
-    def __init__(self, params: FlowParams, h: float):
-        self.params = params
+
+def _symbols(grid: GridSpec, gamma: float):
+    """lambda_k = i k^3 - gamma and the convective factor -i k / 2, k = 0..K."""
+    k = np.arange(grid.K + 1, dtype=np.float64)
+    return 1j * k**3 - gamma, -0.5j * k
+
+
+class _Stepper:
+    """Precomputed one-step kernel for a fixed (params, h) and batch size M,
+    acting on half spectra of shape (M, K+1): modes k = 0..K, one row per
+    batch member.  The k = 0 slot of every output is zero.
+
+    Every stage computes into work arrays made here once: a physical buffer
+    (M, P), a spectrum (M, P//2+1), four stage results and two temporaries.
+    Each scheme performs the floating-point operations of the expressions
+    quoted in its comment, in the same order, so the buffering changes no
+    bit of the result.
+    """
+
+    def __init__(self, params: FlowParams, h: float, M: int):
         self.h = h
-        K = params.grid.K
-        k = np.arange(K + 1, dtype=np.float64)
-        self.lam = 1j * k**3 - params.gamma
-        self.convect = -0.5j * k
+        g = params.grid
+        lam, self.convect = _symbols(g, params.gamma)
         self.forcing = params.forcing.coef
-        self.E = np.exp(self.lam * (h / 2.0))
-        self.E2 = np.exp(self.lam * h)
+        self.E = np.exp(lam * (h / 2.0))
+        self.E2 = np.exp(lam * h)
         if params.scheme == "etdrk4":
-            self.Q, self.f1, self.f2, self.f3 = _etdrk4_coeffs(self.lam, h)
+            self.Q, self.f1, f2, self.f3 = _etdrk4_coeffs(lam, h)
+            self.f2x2 = 2.0 * f2
             self._step = self._etdrk4
         else:
             self._step = self._ifrk4
+        self._phys = np.empty((M, g.P))
+        self._spec = np.empty((M, g.P // 2 + 1), dtype=np.complex128)
+        self._low = self._spec[:, : g.K + 1]
+        self._n = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(4)]
+        self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(2)]
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k; zero
-        at k = 0 because f is mean-zero."""
-        return self.convect * product_half(c, c, self.params.grid) + self.forcing
+    def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k, written
+        to out (which may be c); zero at k = 0 because f is mean-zero.  The
+        product is product_half(c, c, grid), computed in the work arrays."""
+        phys = self._phys
+        np.fft.irfft(c, n=phys.shape[1], norm="forward", out=phys)
+        np.multiply(phys, phys, out=phys)
+        np.fft.rfft(phys, norm="forward", out=self._spec)
+        np.multiply(self.convect, self._low, out=out)
+        return np.add(out, self.forcing, out=out)
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        out = self._step(c)
+    def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One step from c, written to out (not c); returns out."""
+        self._step(c, out)
         out[:, 0] = 0.0
         return out
 
-    def _ifrk4(self, c):
-        # state multiplies the factor from the left throughout so that the
-        # pure semigroup case reproduces linear_flow bit for bit
+    def _ifrk4(self, c, out):
+        # cE2 = c * E2
+        # n1 = N(c)
+        # n2 = N((c + (h / 2) * n1) * E)
+        # n3 = N(c * E + (h / 2) * n2)
+        # n4 = N(cE2 + h * (n3 * E))
+        # out = cE2 + (h / 6) * (n1 * E2 + 2 * ((n2 + n3) * E) + n4)
+        # The state multiplies the factor from the left throughout so that
+        # the pure semigroup case reproduces linear_flow bit for bit.
         N, h, E, E2 = self.nonlinear, self.h, self.E, self.E2
-        cE2 = c * E2
-        n1 = N(c)
-        n2 = N((c + (h / 2.0) * n1) * E)
-        n3 = N(c * E + (h / 2.0) * n2)
-        n4 = N(cE2 + h * (n3 * E))
-        return cE2 + (h / 6.0) * (n1 * E2 + 2.0 * ((n2 + n3) * E) + n4)
+        mul, add = np.multiply, np.add
+        n1, n2, n3, n4 = self._n
+        a, cE2 = self._tmp
+        N(c, n1)
+        N(mul(add(c, mul(h / 2.0, n1, out=a), out=a), E, out=a), n2)
+        N(add(mul(c, E, out=a), mul(h / 2.0, n2, out=n3), out=n3), n3)
+        mul(c, E2, out=cE2)
+        N(add(cE2, mul(h, mul(n3, E, out=n4), out=n4), out=n4), n4)
+        mul(2.0, mul(add(n2, n3, out=a), E, out=a), out=a)
+        add(add(mul(n1, E2, out=n1), a, out=a), n4, out=a)
+        add(cE2, mul(h / 6.0, a, out=a), out=out)
 
-    def _etdrk4(self, c):
-        N, half, Q = self.nonlinear, self.E, self.Q
-        ch = c * half
-        n0 = N(c)
-        a = ch + Q * n0
-        na = N(a)
-        nb = N(ch + Q * na)
-        nc = N(a * half + Q * (2.0 * nb - n0))
-        return c * self.E2 + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+    def _etdrk4(self, c, out):
+        # ch = c * E
+        # n0 = N(c)
+        # a = ch + Q * n0
+        # na = N(a)
+        # nb = N(ch + Q * na)
+        # nc = N(a * E + Q * (2 * nb - n0))
+        # out = c * E2 + f1 * n0 + (2 * f2) * (na + nb) + f3 * nc
+        N, E, Q = self.nonlinear, self.E, self.Q
+        mul, add = np.multiply, np.add
+        n0, na, nb, nc = self._n
+        ch, a = self._tmp
+        mul(c, E, out=ch)
+        N(c, n0)
+        N(add(ch, mul(Q, n0, out=a), out=a), na)
+        N(add(ch, mul(Q, na, out=nb), out=nb), nb)
+        mul(Q, np.subtract(mul(2.0, nb, out=nc), n0, out=nc), out=nc)
+        N(add(mul(a, E, out=ch), nc, out=nc), nc)
+        add(mul(c, self.E2, out=ch), mul(self.f1, n0, out=a), out=ch)
+        add(ch, mul(self.f2x2, add(na, nb, out=a), out=a), out=ch)
+        add(ch, mul(self.f3, nc, out=a), out=out)
 
 
 def _batch(states, grid: GridSpec) -> np.ndarray:
@@ -206,26 +273,31 @@ def _batch(states, grid: GridSpec) -> np.ndarray:
     return np.stack([u.coef for u in states])
 
 
-def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
-    """Per-member sum_{k >= 1} |c_k|^2 of a half-spectrum batch (half the
-    squared l2 norm).  A non-finite state gives a non-finite sum, so this is
-    also the solver's finiteness check: it raises StepFailureError naming the
-    first failing member and the time t."""
-    v = c[:, 1:].view(np.float64)
-    sq = np.einsum("ij,ij->i", v, v)
-    if not np.isfinite(sq).all():
-        m = int(np.argmin(np.isfinite(sq)))
-        raise StepFailureError(t, m, f"batch member {m}" if len(c) > 1 else "")
+def _half_sq_norms(block: np.ndarray, times) -> np.ndarray:
+    """sum_{k >= 1} |c_k|^2 (half the squared l2 norm) of every state in a
+    block of batches, shape (B, M, K+1) -> (B, M), in one einsum pass.
+
+    A non-finite state gives a non-finite sum, so this is also the solver's
+    health check: it raises StepFailureError for the first non-finite state
+    in step order, naming its member and its time times[b]."""
+    B, M, n = block.shape
+    v = block[:, :, 1:].reshape(B * M, n - 1).view(np.float64)
+    sq = np.einsum("ij,ij->i", v, v).reshape(B, M)
+    ok = np.isfinite(sq)
+    if not ok.all():
+        b, m = divmod(int(np.argmin(ok)), M)
+        raise StepFailureError(float(times[b]), m, f"batch member {m}" if M > 1 else "")
     return sq
 
 
 def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
     """du_k/dt = (i k^3 - gamma) u_k - (i k / 2)(u*u)_k + f_k, k != 0."""
-    kernel = _Stepper(params, params.h)
-    c = _batch((u,), params.grid)
-    d = kernel.lam * c + kernel.nonlinear(c)
+    g = params.grid
+    lam, convect = _symbols(g, params.gamma)
+    c = _batch((u,), g)
+    d = lam * c + (convect * product_half(c, c, g) + params.forcing.coef)
     d[:, 0] = 0.0
-    return CoefSeq(params.grid, d[0])
+    return CoefSeq(g, d[0])
 
 
 def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> CoefSeq:
@@ -236,8 +308,9 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
     switched off the ifrk4 step reproduces :func:`linear_flow` to the bit.
     """
     h = params.h if h is None else h
-    out = _Stepper(params, h)(_batch((u,), params.grid))
-    _half_sq_norms(out, t + h)
+    c = _batch((u,), params.grid)
+    out = _Stepper(params, h, 1)(c, np.empty_like(c))
+    _half_sq_norms(out[None], (t + h,))
     return CoefSeq(params.grid, out[0])
 
 
@@ -249,7 +322,8 @@ def evolve_batch(
 
     Each member's record is bit-identical to its :func:`evolve` run.  A
     non-finite member stops the whole batch with StepFailureError carrying
-    the time and the member's index.
+    the time of its first non-finite state and the member's index; no state
+    after that time is recorded.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -260,11 +334,15 @@ def evolve_batch(
         raise ValueError("evolve_batch needs at least one initial state")
     h = params.h
     g = params.grid
+    M = len(u0s)
 
     n_full = int(np.floor(T / h + 1e-9))
     h_last = T - n_full * h
     if h_last < 1e-12 * max(T, 1.0):
         h_last = 0.0
+    dense_t = np.arange(n_full + 1) * h
+    if h_last > 0.0:
+        dense_t = np.append(dense_t, T)
 
     times = [0.0]
     states = [[u0] for u0 in u0s]
@@ -275,19 +353,23 @@ def evolve_batch(
             member.append(CoefSeq(g, row))
 
     coef = _batch(u0s, g)
-    sq = np.empty((n_full + 1 + (h_last > 0.0), len(u0s)))
-    sq[0] = _half_sq_norms(coef, 0.0)
-    kernel = _Stepper(params, h)
-    for i in range(1, n_full + 1):
-        coef = kernel(coef)
-        sq[i] = _half_sq_norms(coef, i * h)
-        if i % sample_every == 0 and not (i == n_full and h_last == 0.0):
-            record(i * h, coef)
-    dense_t = np.arange(n_full + 1) * h
+    sq = np.empty((len(dense_t), M))
+    sq[0] = _half_sq_norms(coef[None], dense_t)[0]
+    # Full steps go in blocks of up to _BLOCK states: step the block, check
+    # it, then record its sampled states (CoefSeq copies them).
+    kernel = _Stepper(params, h, M)
+    block = np.empty((min(_BLOCK, max(n_full, 1)), M, g.K + 1), dtype=np.complex128)
+    for i0 in range(1, n_full + 1, _BLOCK):
+        n = min(_BLOCK, n_full + 1 - i0)
+        for j in range(n):
+            coef = kernel(coef, block[j])
+        sq[i0 : i0 + n] = _half_sq_norms(block[:n], dense_t[i0:])
+        for i in range(i0 + (-i0) % sample_every, i0 + n, sample_every):
+            if not (i == n_full and h_last == 0.0):
+                record(i * h, block[i - i0])
     if h_last > 0.0:
-        coef = _Stepper(params, h_last)(coef)
-        sq[-1] = _half_sq_norms(coef, T)
-        dense_t = np.append(dense_t, T)
+        coef = _Stepper(params, h_last, M)(coef, np.empty_like(coef))
+        sq[-1] = _half_sq_norms(coef[None], dense_t[-1:])[0]
     record(T, coef)
 
     return tuple(

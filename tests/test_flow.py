@@ -15,7 +15,7 @@ from fdkdv.flow import (
     rhs,
     step,
 )
-from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state
+from fdkdv.spectral import CoefSeq, GridSpec, product_half, random_rough_state
 
 
 def cos_params(K=32, gamma=1.0, h=1e-3, **kw):
@@ -31,9 +31,12 @@ def full(u):
 @pytest.fixture
 def linear_only(monkeypatch):
     """Switch the quadratic term off: du/dt = (i k^3 - gamma) u + f."""
-    monkeypatch.setattr(
-        flow._Stepper, "nonlinear", lambda self, c: np.broadcast_to(self.forcing, c.shape)
-    )
+
+    def forcing_only(self, c, out):
+        out[...] = self.forcing
+        return out
+
+    monkeypatch.setattr(flow._Stepper, "nonlinear", forcing_only)
 
 
 class TestLinearMultiplier:
@@ -398,6 +401,150 @@ class TestEvolveBatch:
             evolve_batch((), 0.1, params)
         with pytest.raises(ValueError, match="grid mismatch"):
             evolve_batch((CoefSeq.cosine(GridSpec(9)),), 0.1, params)
+
+
+# Allocating reference on half-spectrum batches: the stepper's expressions
+# written out with one numpy temporary per operation, as the solver computed
+# them before it kept its stages in work arrays, and a norm check after
+# every step.  The buffered solver must match it bit for bit.
+def ref_step(c, params, h):
+    g = params.grid
+    k = np.arange(g.K + 1, dtype=np.float64)
+    lam = 1j * k**3 - params.gamma
+    convect = -0.5j * k
+    E, E2 = np.exp(lam * (h / 2.0)), np.exp(lam * h)
+
+    def N(c):
+        return convect * product_half(c, c, g) + params.forcing.coef
+
+    if params.scheme == "ifrk4":
+        cE2 = c * E2
+        n1 = N(c)
+        n2 = N((c + (h / 2.0) * n1) * E)
+        n3 = N(c * E + (h / 2.0) * n2)
+        n4 = N(cE2 + h * (n3 * E))
+        out = cE2 + (h / 6.0) * (n1 * E2 + 2.0 * ((n2 + n3) * E) + n4)
+    else:
+        Q, f1, f2, f3 = _etdrk4_coeffs(lam, h)
+        ch = c * E
+        n0 = N(c)
+        a = ch + Q * n0
+        na = N(a)
+        nb = N(ch + Q * na)
+        nc = N(a * E + Q * (2.0 * nb - n0))
+        out = c * E2 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+    out[:, 0] = 0.0
+    return out
+
+
+def ref_half_sq(c):
+    v = c[:, 1:].view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def ref_steps(c, params, T):
+    """(step index, time, batch) after each step of a run to T: full steps
+    of params.h, then a shortened last one landing on T."""
+    h = params.h
+    n_full = int(np.floor(T / h + 1e-9))
+    for i in range(1, n_full + 1):
+        c = ref_step(c, params, h)
+        yield i, i * h, c
+    if T - n_full * h > 1e-12 * max(T, 1.0):
+        yield n_full + 1, T, ref_step(c, params, T - n_full * h)
+
+
+def ref_first_failure(states, params, T):
+    """(time, member) of the first non-finite state of a run to T checked
+    after every step, or None."""
+    for _, t, c in ref_steps(np.stack([u.coef for u in states]), params, T):
+        ok = np.isfinite(ref_half_sq(c))
+        if not ok.all():
+            return t, int(np.argmin(ok))
+    return None
+
+
+class TestBufferedKernelOracle:
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("K", [8, 64])
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_step_and_evolve_batch_bit_identical(self, scheme, K, M):
+        g = GridSpec(K)
+        f = random_rough_state(g, 2.0, seed=3, target_l2=0.8)
+        params = FlowParams(gamma=0.6, forcing=f, h=1e-3, scheme=scheme)
+        u0s = [random_rough_state(g, 1.2, seed=seed, target_l2=1.5) for seed in range(20, 20 + M)]
+        c0 = np.stack([u.coef for u in u0s])
+
+        for m, u in enumerate(u0s):
+            for h in (params.h, 0.37 * params.h):
+                ref = ref_step(c0[m : m + 1], params, h)[0]
+                assert np.array_equal(step(u, 0.25, params, h).coef, ref)
+
+        # 2 blocks + 2 full steps, then a shortened last step
+        n_full = 2 * flow._BLOCK + 2
+        T = (n_full + 0.5) * params.h
+        ref = list(ref_steps(c0, params, T))
+        assert len(ref) == n_full + 1 and ref[-1][1] == T
+        sampled = [r for r in ref[:-1] if r[0] % 37 == 0] + [ref[-1]]
+        dense_sq = np.array([ref_half_sq(c0)] + [ref_half_sq(c) for _, _, c in ref])
+        for m, traj in enumerate(evolve_batch(u0s, T, params, sample_every=37)):
+            assert np.array_equal(traj.times, [0.0] + [t for _, t, _ in sampled])
+            assert np.array_equal(traj.dense_times, [0.0] + [t for _, t, _ in ref])
+            assert np.array_equal(traj.dense_l2, np.sqrt(2.0 * dense_sq[:, m]))
+            assert np.array_equal(traj.states[0].coef, c0[m])
+            for state, (_, _, c) in zip(traj.states[1:], sampled, strict=True):
+                assert np.array_equal(state.coef, c[m])
+
+
+@pytest.fixture(scope="module")
+def blowup_states():
+    """Per-step states of a forced K = 16 run at h = 0.05 up to the last
+    finite one: a member started at states[-j] first fails at its step j."""
+    g = GridSpec(16)
+    params = FlowParams(gamma=0.0, forcing=CoefSeq.cosine(g, amplitude=1.2), h=0.05)
+    states = [CoefSeq.zeros(g)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, c in ref_steps(states[0].coef[None], params, 1000 * params.h):
+            if not np.isfinite(ref_half_sq(c)).all():
+                return params, states
+            states.append(CoefSeq(g, c[0]))
+    raise AssertionError("the forced run did not blow up")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlockedHealthCheck:
+    """The failing member's first non-finite state at a block edge: the
+    blocked check names the step and member a per-step check names."""
+
+    @pytest.mark.parametrize(
+        "j, n_steps",
+        [
+            (flow._BLOCK + 1, 2 * flow._BLOCK + 0.5),  # first state of the second block
+            (2 * flow._BLOCK, 2 * flow._BLOCK + 3),  # last state of the second block
+            (flow._BLOCK + 3, flow._BLOCK + 2.5),  # the shortened last step
+        ],
+    )
+    def test_failure_time_and_member_match_per_step_check(self, blowup_states, j, n_steps):
+        params, states = blowup_states
+        assert len(states) > 2 * flow._BLOCK + 10
+        # member 0 fails two steps after member 1
+        members = [states[-j - 2], states[-j], states[10]]
+        T = n_steps * params.h
+        ref = ref_first_failure(members, params, T)
+        assert ref == (min(j * params.h, T), 1)
+        with pytest.raises(StepFailureError) as info:
+            evolve_batch(members, T, params)
+        assert (info.value.time, info.value.member) == ref
+
+    def test_sampled_state_after_failure_is_not_recorded(self, blowup_states):
+        params, states = blowup_states
+        members = [states[-5], states[-3]]
+        T = 10 * params.h
+        assert ref_first_failure(members, params, T) == (3 * params.h, 1)
+        with pytest.raises(StepFailureError) as info:
+            evolve_batch(members, T, params, sample_every=5)
+        assert info.value.time == 3 * params.h
+        assert info.value.member == 1
 
 
 class TestEnergyEnvelope:
