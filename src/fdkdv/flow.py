@@ -177,11 +177,9 @@ class _Stepper:
     acting on half spectra of shape (M, K+1): modes k = 0..K, one row per
     batch member.  The k = 0 slot of every output is zero.
 
-    Every stage computes into work arrays made here once: a physical buffer
-    (M, P), a spectrum (M, P//2+1), four stage results and two temporaries.
-    Each scheme performs the floating-point operations of the expressions
-    quoted in its comment, in the same order, so the buffering changes no
-    bit of the result.
+    The stages compute into work arrays made here once.  Each scheme
+    performs the operations of the expressions quoted in its comment, in
+    the same order, so the buffering changes no bit of the result.
     """
 
     def __init__(self, params: FlowParams, h: float, M: int):
@@ -295,6 +293,7 @@ def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
     g = params.grid
     lam, convect = _symbols(g, params.gamma)
     c = _batch((u,), g)
+    # the forcing joins the quadratic term first, as in the stepper's N
     d = lam * c + (convect * product_half(c, c, g) + params.forcing.coef)
     d[:, 0] = 0.0
     return CoefSeq(g, d[0])

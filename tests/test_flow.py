@@ -404,8 +404,7 @@ class TestEvolveBatch:
 
 
 # Allocating reference on half-spectrum batches: the stepper's expressions
-# written out with one numpy temporary per operation, as the solver computed
-# them before it kept its stages in work arrays, and a norm check after
+# written out with one numpy temporary per operation, and a norm check after
 # every step.  The buffered solver must match it bit for bit.
 def ref_step(c, params, h):
     g = params.grid
