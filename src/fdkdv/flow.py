@@ -20,21 +20,15 @@ quadratic term is the package's one product kernel,
 transform, squared, one transform).  A single run is a batch of one, and
 each member of a batch is bit-identical to its solo run.
 
-Stepping allocates nothing per step.  The kernel for one (params, h, M)
-owns its work arrays: a physical buffer (M, P), a spectrum (M, P//2+1),
-four stage results and two temporaries.  The transforms write into them
-through the ``out=`` argument of ``np.fft.irfft``/``np.fft.rfft`` (numpy
->= 2.0), and every other operation is an in-place ufunc.  Each in-place
-operation is one of the plain expressions quoted in the kernel, applied to
-the same operands in the same order, so every state is bit-identical to
-the plain expressions' result; ``tests/test_flow.py`` pins this against an
-allocating copy of them.
-
-:func:`evolve_batch` steps up to ``_BLOCK`` states into one preallocated
-(B, M, K+1) buffer, then runs one norm and finiteness pass over the whole
-block.  A non-finite state raises StepFailureError with the time and
-member of the first failing step, as a check after every step would.
-Sampled states are recorded only after their block passed the check.
+The stages allocate nothing.  The kernel for one (params, h, M)
+owns its work arrays: a physical buffer (M, P) and a spectrum (M, P//2+1)
+that product_half computes in, four stage results and two temporaries.
+Every other operation is an in-place ufunc.  Each in-place operation is one
+of the plain expressions quoted in the kernel, applied to the same operands
+in the same order, so every state is bit-identical to the plain
+expressions' result; ``tests/test_flow.py`` pins this against an allocating
+copy of them.  :func:`evolve_batch` steps its batch in place and checks
+the norm and finiteness of every state before it is recorded.
 """
 
 from __future__ import annotations
@@ -161,11 +155,6 @@ def _etdrk4_coeffs(lam: np.ndarray, h: float, contour_points: int = 32):
     return Q, f1, f2, f3
 
 
-# States per health check in evolve_batch: a block of states is stepped into
-# one buffer and checked with one norm pass before any of it is recorded.
-_BLOCK = 64
-
-
 def _symbols(grid: GridSpec, gamma: float):
     """lambda_k = i k^3 - gamma and the convective factor -i k / 2, k = 0..K."""
     k = np.arange(grid.K + 1, dtype=np.float64)
@@ -195,25 +184,23 @@ class _Stepper:
             self._step = self._etdrk4
         else:
             self._step = self._ifrk4
+        self.grid = g
         self._phys = np.empty((M, g.P))
         self._spec = np.empty((M, g.P // 2 + 1), dtype=np.complex128)
-        self._low = self._spec[:, : g.K + 1]
         self._n = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(4)]
         self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(2)]
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k, written
         to out (which may be c); zero at k = 0 because f is mean-zero.  The
-        product is product_half(c, c, grid), computed in the work arrays."""
-        phys = self._phys
-        np.fft.irfft(c, n=phys.shape[1], norm="forward", out=phys)
-        np.multiply(phys, phys, out=phys)
-        np.fft.rfft(phys, norm="forward", out=self._spec)
-        np.multiply(self.convect, self._low, out=out)
+        product is computed in the work arrays."""
+        uu = product_half(c, c, self.grid, phys=self._phys, spec=self._spec)
+        np.multiply(self.convect, uu, out=out)
         return np.add(out, self.forcing, out=out)
 
     def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One step from c, written to out (not c); returns out."""
+        """One step from c, written to out; returns out.  out may be c: the
+        stages read c before the last operation writes out."""
         self._step(c, out)
         out[:, 0] = 0.0
         return out
@@ -271,20 +258,16 @@ def _batch(states, grid: GridSpec) -> np.ndarray:
     return np.stack([u.coef for u in states])
 
 
-def _half_sq_norms(block: np.ndarray, times) -> np.ndarray:
-    """sum_{k >= 1} |c_k|^2 (half the squared l2 norm) of every state in a
-    block of batches, shape (B, M, K+1) -> (B, M), in one einsum pass.
-
-    A non-finite state gives a non-finite sum, so this is also the solver's
-    health check: it raises StepFailureError for the first non-finite state
-    in step order, naming its member and its time times[b]."""
-    B, M, n = block.shape
-    v = block[:, :, 1:].reshape(B * M, n - 1).view(np.float64)
-    sq = np.einsum("ij,ij->i", v, v).reshape(B, M)
-    ok = np.isfinite(sq)
-    if not ok.all():
-        b, m = divmod(int(np.argmin(ok)), M)
-        raise StepFailureError(float(times[b]), m, f"batch member {m}" if M > 1 else "")
+def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
+    """Per-member sum_{k >= 1} |c_k|^2 of a half-spectrum batch (half the
+    squared l2 norm).  A non-finite state gives a non-finite sum, so this is
+    also the solver's finiteness check: it raises StepFailureError naming the
+    first failing member and the time t."""
+    v = c[:, 1:].view(np.float64)
+    sq = np.einsum("ij,ij->i", v, v)
+    if not np.isfinite(sq).all():
+        m = int(np.argmin(np.isfinite(sq)))
+        raise StepFailureError(t, m, f"batch member {m}" if len(c) > 1 else "")
     return sq
 
 
@@ -308,8 +291,8 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
     """
     h = params.h if h is None else h
     c = _batch((u,), params.grid)
-    out = _Stepper(params, h, 1)(c, np.empty_like(c))
-    _half_sq_norms(out[None], (t + h,))
+    out = _Stepper(params, h, 1)(c, c)
+    _half_sq_norms(out, t + h)
     return CoefSeq(params.grid, out[0])
 
 
@@ -339,9 +322,6 @@ def evolve_batch(
     h_last = T - n_full * h
     if h_last < 1e-12 * max(T, 1.0):
         h_last = 0.0
-    dense_t = np.arange(n_full + 1) * h
-    if h_last > 0.0:
-        dense_t = np.append(dense_t, T)
 
     times = [0.0]
     states = [[u0] for u0 in u0s]
@@ -352,23 +332,20 @@ def evolve_batch(
             member.append(CoefSeq(g, row))
 
     coef = _batch(u0s, g)
-    sq = np.empty((len(dense_t), M))
-    sq[0] = _half_sq_norms(coef[None], dense_t)[0]
-    # Full steps go in blocks of up to _BLOCK states: step the block, check
-    # it, then record its sampled states (CoefSeq copies them).
+    sq = np.empty((n_full + 1 + (h_last > 0.0), M))
+    sq[0] = _half_sq_norms(coef, 0.0)
     kernel = _Stepper(params, h, M)
-    block = np.empty((min(_BLOCK, max(n_full, 1)), M, g.K + 1), dtype=np.complex128)
-    for i0 in range(1, n_full + 1, _BLOCK):
-        n = min(_BLOCK, n_full + 1 - i0)
-        for j in range(n):
-            coef = kernel(coef, block[j])
-        sq[i0 : i0 + n] = _half_sq_norms(block[:n], dense_t[i0:])
-        for i in range(i0 + (-i0) % sample_every, i0 + n, sample_every):
-            if not (i == n_full and h_last == 0.0):
-                record(i * h, block[i - i0])
+    # the batch is stepped in place; CoefSeq copies the rows it records
+    for i in range(1, n_full + 1):
+        kernel(coef, coef)
+        sq[i] = _half_sq_norms(coef, i * h)
+        if i % sample_every == 0 and not (i == n_full and h_last == 0.0):
+            record(i * h, coef)
+    dense_t = np.arange(n_full + 1) * h
     if h_last > 0.0:
-        coef = _Stepper(params, h_last, M)(coef, np.empty_like(coef))
-        sq[-1] = _half_sq_norms(coef[None], dense_t[-1:])[0]
+        _Stepper(params, h_last, M)(coef, coef)
+        sq[-1] = _half_sq_norms(coef, T)
+        dense_t = np.append(dense_t, T)
     record(T, coef)
 
     return tuple(

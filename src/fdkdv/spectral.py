@@ -142,7 +142,10 @@ def sobolev_norm(u: CoefSeq, s: float) -> float:
     return float(np.sqrt(np.sum(np.concatenate((x[::-1], x)))))
 
 
-def product_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+def product_half(
+    a: np.ndarray, b: np.ndarray, grid: GridSpec, phys: np.ndarray | None = None,
+    spec: np.ndarray | None = None,
+) -> np.ndarray:
     """(u v)_k for k = 0..K, where u and v are the real fields whose
     coefficients k = 0..K' (K' <= K) are the last axes of a and b; leading
     axes are a batch.
@@ -151,10 +154,16 @@ def product_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     (to roundoff) in O(P log P), through real transforms of the real fields.
     Passing the same array twice saves one transform.  The imaginary parts
     of a[..., 0] and b[..., 0] are ignored.
+
+    phys (real, shape (..., P)) and spec (complex, shape (..., P//2+1)) are
+    optional work arrays for a caller that multiplies many times: the
+    transforms and the product are written into them, with the same
+    operations as without them, and the result is then a view of spec.
     """
-    pa = np.fft.irfft(a, n=grid.P, norm="forward")
+    pa = np.fft.irfft(a, n=grid.P, norm="forward", out=phys)
     pb = pa if b is a else np.fft.irfft(b, n=grid.P, norm="forward")
-    return np.fft.rfft(pa * pb, norm="forward")[..., : grid.K + 1]
+    prod = np.multiply(pa, pb, out=phys)
+    return np.fft.rfft(prod, norm="forward", out=spec)[..., : grid.K + 1]
 
 
 def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float) -> CoefSeq:

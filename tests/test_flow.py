@@ -479,8 +479,8 @@ class TestBufferedKernelOracle:
                 ref = ref_step(c0[m : m + 1], params, h)[0]
                 assert np.array_equal(step(u, 0.25, params, h).coef, ref)
 
-        # 2 blocks + 2 full steps, then a shortened last step
-        n_full = 2 * flow._BLOCK + 2
+        # full steps, then a shortened last step
+        n_full = 130
         T = (n_full + 0.5) * params.h
         ref = list(ref_steps(c0, params, T))
         assert len(ref) == n_full + 1 and ref[-1][1] == T
@@ -511,21 +511,19 @@ def blowup_states():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-class TestBlockedHealthCheck:
-    """The failing member's first non-finite state at a block edge: the
-    blocked check names the step and member a per-step check names."""
+class TestHealthCheck:
+    """A blow-up names the time and member of the first non-finite state,
+    as the reference's check after every step does."""
 
     @pytest.mark.parametrize(
         "j, n_steps",
         [
-            (flow._BLOCK + 1, 2 * flow._BLOCK + 0.5),  # first state of the second block
-            (2 * flow._BLOCK, 2 * flow._BLOCK + 3),  # last state of the second block
-            (flow._BLOCK + 3, flow._BLOCK + 2.5),  # the shortened last step
+            (7, 12),  # a full step
+            (7, 6.5),  # the shortened last step
         ],
     )
-    def test_failure_time_and_member_match_per_step_check(self, blowup_states, j, n_steps):
+    def test_failure_time_and_member_match_reference(self, blowup_states, j, n_steps):
         params, states = blowup_states
-        assert len(states) > 2 * flow._BLOCK + 10
         # member 0 fails two steps after member 1
         members = [states[-j - 2], states[-j], states[10]]
         T = n_steps * params.h
@@ -535,13 +533,15 @@ class TestBlockedHealthCheck:
             evolve_batch(members, T, params)
         assert (info.value.time, info.value.member) == ref
 
-    def test_sampled_state_after_failure_is_not_recorded(self, blowup_states):
+    def test_failing_sampled_state_raises_step_failure(self, blowup_states):
+        # the non-finite state is due for recording; the check comes first,
+        # so this is StepFailureError, not CoefSeq's non-finite ValueError
         params, states = blowup_states
         members = [states[-5], states[-3]]
         T = 10 * params.h
         assert ref_first_failure(members, params, T) == (3 * params.h, 1)
         with pytest.raises(StepFailureError) as info:
-            evolve_batch(members, T, params, sample_every=5)
+            evolve_batch(members, T, params, sample_every=3)
         assert info.value.time == 3 * params.h
         assert info.value.member == 1
 

@@ -146,6 +146,18 @@ class TestConvolution:
         a = random_field(g, seed=4).coef
         assert np.array_equal(product_half(a, a, g), product_half(a, a.copy(), g))
 
+    @pytest.mark.parametrize("K", [1, 8, 33])
+    def test_work_arrays_are_bit_identical_to_allocating(self, K):
+        g = GridSpec(K)
+        a = np.stack([random_field(g, seed).coef for seed in (30, 31)])
+        b = np.stack([random_field(g, seed).coef for seed in (32, 33)])
+        phys = np.full((2, g.P), np.nan)
+        spec = np.full((2, g.P // 2 + 1), np.nan, dtype=np.complex128)
+        for x, y in ((a, a), (a, b)):
+            got = product_half(x, y, g, phys=phys, spec=spec)
+            assert np.shares_memory(got, spec)
+            assert np.array_equal(got, product_half(x, y, g))
+
     def test_bilinear_and_symmetric(self):
         g = GridSpec(12)
         u, v, w = (random_field(g, s).coef for s in (5, 6, 7))
