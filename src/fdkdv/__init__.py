@@ -33,7 +33,6 @@ from .normal_form import (  # noqa: F401
 )
 from .lattice import (  # noqa: F401
     LatticeBudget,
-    bilinear_norm_constant,
     cubic_phase,
     quartic_phase,
     resonance_factor_min_ratio,

@@ -645,6 +645,8 @@ def run_constant_estimates(cfg: RunConfig) -> RunReport:
     )
     from .normal_form import resonant_cubic
 
+    if any(s >= 1.0 for s in cfg.s_values):
+        raise ConfigError(f"s.values must lie below 1 for the bilinear bound, got {cfg.s_values}")
     t0 = time.perf_counter()
     report = RunReport("constant_estimates", cfg)
     ks = tuple(sorted(cfg.constants_k))

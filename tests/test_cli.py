@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,11 +153,22 @@ class TestDispatch:
         ("envelope", "forcing.mode=500"),
         ("simulate", "forcing.mode=-1"),
         ("kdv-limit", "init.mode=500"),
+        ("estimate-constants", "s.values=[0.5,1.0]"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
         code = run_cli(command, "--out", str(tmp_path), "--quiet", "--set", override)
         assert code == EXIT_CONFIG
         assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_solver_failure_prints_only_the_solver_line(self, tmp_path, capsys):
+        # the blow-up's overflow raises no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("simulate", "--out", str(tmp_path), "--quiet", "--set", "h=0.05")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "solver failure: non-finite state at t = 0.85; reduce the step size\n"
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_code(self, tmp_path, capsys):

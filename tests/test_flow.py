@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,18 @@ class TestHealthCheck:
             evolve_batch(members, T, params, sample_every=3)
         assert info.value.time == 3 * params.h
         assert info.value.member == 1
+
+
+    def test_blowup_raises_without_numpy_warnings(self, blowup_states):
+        # the overflow that precedes a non-finite state is the solver's to
+        # report, not numpy's
+        params, states = blowup_states
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError):
+                evolve_batch([states[-3]], 10 * params.h, params)
+            with pytest.raises(StepFailureError):
+                step(states[-1], 0.0, params)
 
 
 class TestEnergyEnvelope:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from fdkdv.lattice import (
     LatticeBudget,
     bilinear_constant_ladder,
-    bilinear_norm_constant,
     cubic_phase,
     quartic_phase,
     resonance_factor_min_ratio,
@@ -16,6 +17,8 @@ from fdkdv.lattice import (
     verify_quartic_phase_exhaustive,
     verify_quartic_phase_sampled,
 )
+from fdkdv.normal_form import normal_form_bilinear
+from fdkdv.spectral import sobolev_norm
 
 nonzero_int = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda k: k != 0)
 
@@ -148,12 +151,12 @@ class TestBilinearNormConstant:
     def test_two_mode_closed_form_is_reachable(self):
         # u = v with u_{+-1} = 1 gives ratio 1/6 at s = 0.5; the estimator
         # must do at least as well
-        est = bilinear_norm_constant(LatticeBudget(4, 0.5), trials=10, seed=3)
+        [est] = bilinear_constant_ladder([4], 0.5, trials=10, seed=3)
         assert est >= 1.0 / 6.0 - 1e-12
 
     def test_rejects_s_at_least_one(self):
         with pytest.raises(ValueError):
-            bilinear_norm_constant(LatticeBudget(4, 1.0), trials=1, seed=0)
+            bilinear_constant_ladder([4], 1.0, trials=1, seed=0)
 
     def test_degenerate_zero_trial_skipped(self):
         from fdkdv.lattice import _bilinear_ratio
@@ -175,13 +178,13 @@ class TestBilinearNormConstant:
         ]
 
     def test_deterministic(self):
-        a = bilinear_norm_constant(LatticeBudget(8, 0.5), trials=25, seed=7)
-        b = bilinear_norm_constant(LatticeBudget(8, 0.5), trials=25, seed=7)
+        a = bilinear_constant_ladder([8], 0.5, trials=25, seed=7)
+        b = bilinear_constant_ladder([8], 0.5, trials=25, seed=7)
         assert a == b
 
     def test_stable_across_seeds_within_ten_percent(self):
-        a = bilinear_norm_constant(LatticeBudget(16, 0.9), trials=60, seed=1)
-        b = bilinear_norm_constant(LatticeBudget(16, 0.9), trials=60, seed=2)
+        [a] = bilinear_constant_ladder([16], 0.9, trials=60, seed=1)
+        [b] = bilinear_constant_ladder([16], 0.9, trials=60, seed=2)
         assert max(a, b) / min(a, b) <= 1.10
 
     def test_ladder_stable_across_truncations(self):
@@ -189,3 +192,42 @@ class TestBilinearNormConstant:
         assert vals[1] <= 1.05 * vals[0]
         assert vals[2] <= 1.05 * vals[1]
         assert vals == sorted(vals)  # warm starts make the ladder monotone
+
+    def test_reaches_the_supremum(self):
+        # greedy coordinate ascent stopped at 0.27928 on the first rung; the
+        # alternating solves reach the supremum on every rung, whatever the seed
+        ladder = bilinear_constant_ladder((16, 32, 64), 0.9, trials=150, seed=7)
+        assert ladder[0] >= 0.3026
+        for seed in range(4):
+            other = bilinear_constant_ladder((16, 32, 64), 0.9, trials=150, seed=seed)
+            assert other == pytest.approx(ladder, rel=1e-6)
+
+
+class TestBilinearMatrix:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("K", [1, 2, 7, 32])
+    def test_matches_the_bilinear_form(self, K, s):
+        from fdkdv.lattice import _bilinear_matrix, _random_hermitian
+        from fdkdv.spectral import GridSpec
+
+        grid = GridSpec(K)
+        rng = np.random.default_rng(K)
+        for _ in range(3):
+            u = _random_hermitian(grid, rng)
+            v = _random_hermitian(grid, rng)
+            x = np.concatenate((u.coef[1:].real, u.coef[1:].imag))
+            got = np.linalg.norm(_bilinear_matrix(v, s) @ x) * np.sqrt(2.0)
+            want = sobolev_norm(normal_form_bilinear(u, v), s)
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_zero_at_k_one(self):
+        # B vanishes at K = 1 (k1 + k2 = +-1 needs a mode beyond K); the
+        # ladder reports 0 without dividing by it
+        from fdkdv.lattice import _bilinear_matrix
+        from fdkdv.spectral import CoefSeq, GridSpec
+
+        v = CoefSeq.from_modes(GridSpec(1), {1: 0.3 - 0.8j})
+        assert not _bilinear_matrix(v, 0.5).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bilinear_constant_ladder([1], 0.5, trials=5, seed=0) == [0.0]
