@@ -98,11 +98,17 @@ def read_report_json(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-PLOT_GROUPS = {
-    "envelope": ("trajectory.csv",),
-    "smoothing": ("smoothing_K*.csv",),
-    "attractor": ("attractor_seed*.csv",),
-}
+# One figure per artifact group: glob, figure, title, and the (column, curve
+# title) pairs plotted from each matching CSV.  A None curve title names the
+# curve after the file stem's tail (the rung or ensemble member).
+PLOT_GROUPS = (
+    ("trajectory.csv", "envelope.svg", "l2 norm vs closed-form envelope",
+     ((2, "l2 norm"), (3, "envelope"))),
+    ("smoothing_K*.csv", "smoothing_gaps.svg",
+     "nonlinear remainder H^s gap across truncations", ((4, None),)),
+    ("attractor_seed*.csv", "attractor_radii.svg",
+     "late-time H^s radius per ensemble member", ((5, None),)),
+)
 
 
 class MissingArtifactsError(FileNotFoundError):
@@ -118,53 +124,19 @@ def emit_plot_script(report_dir) -> Path:
     """
     report_dir = Path(report_dir)
     blocks = []
-    trajectory = report_dir / "trajectory.csv"
-    rungs = sorted(report_dir.glob("smoothing_K*.csv"))
-    members = sorted(report_dir.glob("attractor_seed*.csv"))
-    if trajectory.exists():
-        blocks.append(
-            "\n".join(
-                [
-                    "set output 'envelope.svg'",
-                    "set title 'l2 norm vs closed-form envelope'",
-                    "set xlabel 't'",
-                    "plot 'trajectory.csv' using 1:2 with lines title 'l2 norm', \\",
-                    "     'trajectory.csv' using 1:3 with lines title 'envelope'",
-                ]
-            )
-        )
-    if rungs:
+    for pattern, figure, title, curves in PLOT_GROUPS:
         plots = ", \\\n     ".join(
-            f"'{p.name}' using 1:4 with lines title '{p.stem.replace('smoothing_', '')}'"
-            for p in rungs
+            f"'{p.name}' using 1:{column} with lines "
+            f"title '{curve or p.stem.split('_', 1)[1]}'"
+            for p in sorted(report_dir.glob(pattern))
+            for column, curve in curves
         )
-        blocks.append(
-            "\n".join(
-                [
-                    "set output 'smoothing_gaps.svg'",
-                    "set title 'nonlinear remainder H^s gap across truncations'",
-                    "set xlabel 't'",
-                    f"plot {plots}",
-                ]
+        if plots:
+            blocks.append(
+                f"set output '{figure}'\nset title '{title}'\nset xlabel 't'\nplot {plots}"
             )
-        )
-    if members:
-        plots = ", \\\n     ".join(
-            f"'{p.name}' using 1:5 with lines title '{p.stem.replace('attractor_', '')}'"
-            for p in members
-        )
-        blocks.append(
-            "\n".join(
-                [
-                    "set output 'attractor_radii.svg'",
-                    "set title 'late-time H^s radius per ensemble member'",
-                    "set xlabel 't'",
-                    f"plot {plots}",
-                ]
-            )
-        )
     if not blocks:
-        expected = ", ".join(p for group in PLOT_GROUPS.values() for p in group)
+        expected = ", ".join(group[0] for group in PLOT_GROUPS)
         raise MissingArtifactsError(
             f"no plottable CSVs in {report_dir}; expected any of: {expected}"
         )
@@ -193,31 +165,30 @@ def _parse_override(text: str):
     return key.strip(), value
 
 
-def load_config(args, default: RunConfig) -> RunConfig:
-    """File values override defaults; --set overrides beat file values."""
-    mapping = default.to_mapping()
+def _read_overrides(args) -> dict:
+    """The user's config overrides as dotted keys: config-file values, then
+    --set values (which beat them), then --seed."""
+    known = RunConfig().to_mapping()
+    overrides = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        loaded = read_report_json(path)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        for key, value in loaded.items():
-            if key not in mapping:
+        for key in loaded:
+            if key not in known:
                 raise ConfigError(f"{path}: unknown key {key!r}")
-            mapping[key] = value
+        overrides.update(loaded)
     for text in args.set or []:
         key, value = _parse_override(text)
-        if key not in mapping:
+        if key not in known:
             raise ConfigError(f"--set: unknown key {key!r}")
-        mapping[key] = value
+        overrides[key] = value
     if args.seed is not None:
-        mapping["init.seed"] = args.seed
-    return RunConfig.from_mapping(mapping)
+        overrides["init.seed"] = args.seed
+    return overrides
 
 
 def _out_dir(args) -> Path:
@@ -229,136 +200,77 @@ def _out_dir(args) -> Path:
     return root
 
 
-def _emit(report: RunReport, out: Path, quiet: bool,
-          csv_map: dict[str, str | None] | None = None, label: str | None = None):
-    """Write the report's trajectory CSVs (csv_map renames them; a name
-    mapped to None is not written) and its JSON, and print its verdicts."""
+def _emit(report: RunReport, out: Path, label: str | None = None) -> None:
+    """Write each of the report's trajectories to {key}.csv, and its JSON."""
     for name, traj in report.trajectories.items():
-        fname = (csv_map or {}).get(name, f"{name}.csv")
-        if fname is not None:
-            write_trajectory_csv(traj, out / fname, s_values=report.config.s_values)
+        write_trajectory_csv(traj, out / f"{name}.csv", s_values=report.config.s_values)
     write_report_json(report, out / f"report_{label or report.experiment}.json")
-    if not quiet:
-        for c in report.checks:
-            print(
-                f"[{report.experiment}] {c.name}: measured={c.measured:.6g} "
-                f"tolerance={c.tolerance:.6g} {'pass' if c.passed else 'FAIL'}"
-            )
 
 
-def _finish(reports: list[RunReport], out: Path, quiet: bool) -> int:
+def _horizon_checked(experiment: str, cfg: RunConfig, run, *args) -> RunReport:
+    """run(*args), or the failed-verdict report of experiment when its horizon
+    was too short; keeps the 'report always written' contract for diagnostic
+    failures."""
     try:
-        emit_plot_script(out)
-    except MissingArtifactsError:
-        pass  # report-only runs have nothing to plot
-    ok = all(r.passed for r in reports)
-    if not quiet:
-        print(f"{'PASS' if ok else 'FAIL'}: artifacts in {out}")
-    return EXIT_OK if ok else EXIT_ASSERTION
-
-
-def cmd_simulate(args) -> int:
-    cfg = load_config(args, RunConfig(grid_k=64, T=5.0, init_sigma=2.5))
-    out = _out_dir(args)
-    report = run_energy_envelope(cfg)
-    _emit(report, out, args.quiet, {"trajectory": "trajectory.csv"})
-    return _finish([report], out, args.quiet)
-
-
-def _horizon_failure(experiment: str, cfg: RunConfig, exc: HorizonError) -> RunReport:
-    """Failed-verdict report for a run whose horizon was too short; keeps the
-    'report always written' contract for diagnostic failures."""
-    print(f"horizon diagnostic: {exc}", file=sys.stderr)
-    report = RunReport(experiment, cfg)
-    report.check("horizon_sufficient", 1.0, 0.0)  # fails by construction
-    report.measured["diagnostic"] = str(exc)
-    return report
-
-
-def cmd_envelope(args) -> int:
-    cfg = load_config(args, DEFAULT_ENVELOPE_SUITE[2])
-    out = _out_dir(args)
-    reports = [run_energy_envelope(cfg)]
-    _emit(reports[0], out, args.quiet, {"trajectory": "trajectory.csv"})
-    if reports[0].measured["forcing_l2"] > 0:
-        try:
-            reports.append(run_absorbing_ball(reports[0]))
-            # the verdict judges the trajectory just written: copy its bytes
-            shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
-            _emit(reports[1], out, args.quiet, {"trajectory": None})
-        except HorizonError as exc:
-            reports.append(_horizon_failure("absorbing_ball", cfg, exc))
-            _emit(reports[-1], out, args.quiet)
-    return _finish(reports, out, args.quiet)
-
-
-def cmd_smoothing(args) -> int:
-    cfg = load_config(args, default_smoothing_config())
-    out = _out_dir(args)
-    report = run_smoothing_ladder(cfg)
-    csv_map = {name: f"smoothing_{name.split('_')[1]}.csv" for name in report.trajectories}
-    _emit(report, out, args.quiet, csv_map)
-    return _finish([report], out, args.quiet)
-
-
-def cmd_attractor(args) -> int:
-    cfg = load_config(args, default_attractor_config())
-    out = _out_dir(args)
-    try:
-        report = run_attractor_probe(cfg)
+        return run(*args)
     except HorizonError as exc:
-        report = _horizon_failure("attractor_probe", cfg, exc)
-        _emit(report, out, args.quiet)
-        return _finish([report], out, args.quiet)
-    csv_map = {
-        name: f"attractor_{name.split('_')[1]}.csv" for name in report.trajectories
-    }
-    _emit(report, out, args.quiet, csv_map)
-    return _finish([report], out, args.quiet)
+        print(f"horizon diagnostic: {exc}", file=sys.stderr)
+        report = RunReport(experiment, cfg)
+        report.check("horizon_sufficient", 1.0, 0.0)  # fails by construction
+        report.measured["diagnostic"] = str(exc)
+        return report
 
 
-def cmd_kdv_limit(args) -> int:
-    cfg = load_config(args, default_kdv_limit_config())
-    out = _out_dir(args)
-    report = run_kdv_limit(cfg)
-    _emit(report, out, args.quiet, {"trajectory": "trajectory.csv"})
-    return _finish([report], out, args.quiet)
+def _single(run):
+    """Command that runs one experiment on the config and writes its report."""
+    def command(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
+        report = run(cfg)
+        _emit(report, out)
+        return [report]
+    return command
 
 
-def cmd_verify_identities(args) -> int:
-    from dataclasses import replace
+def cmd_envelope(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
+    envelope = run_energy_envelope(cfg)
+    _emit(envelope, out)
+    if envelope.measured["forcing_l2"] == 0:
+        return [envelope]
+    ball = _horizon_checked("absorbing_ball", cfg, run_absorbing_ball, envelope)
+    if ball.trajectories:  # a horizon failure judged no trajectory
+        # the verdict judges the trajectory just written: copy its bytes
+        shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
+    write_report_json(ball, out / "report_absorbing_ball.json")
+    return [envelope, ball]
 
-    cfg = load_config(args, RunConfig())
-    out = _out_dir(args)
+
+def cmd_verify_identities(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
+    """Identity checks on cfg, then the three residual configs with exactly
+    the user's nf.* overrides applied to each."""
     reports = [run_identity_checks(cfg)]
-    _emit(reports[0], out, args.quiet)
-    defaults = RunConfig()
+    _emit(reports[0], out)
+    nf = {key: value for key, value in overrides.items() if key.startswith("nf.")}
     for i, residual_cfg in enumerate(default_residual_configs(), start=1):
-        # honor nf.* overrides while keeping the three distinct configs
-        if cfg.nf_time != defaults.nf_time or cfg.nf_dt != defaults.nf_dt:
-            residual_cfg = replace(residual_cfg, nf_time=cfg.nf_time, nf_dt=cfg.nf_dt)
-        report = run_normal_form_residual(residual_cfg)
+        report = run_normal_form_residual(RunConfig.from_mapping(residual_cfg.to_mapping() | nf))
         reports.append(report)
-        _emit(report, out, args.quiet, label=f"normal_form_residual_{i}")
-    return _finish(reports, out, args.quiet)
+        _emit(report, out, label=f"normal_form_residual_{i}")
+    return reports
 
 
-def cmd_estimate_constants(args) -> int:
-    cfg = load_config(args, RunConfig(s_values=(0.5, 0.9), rho_trials=2000))
-    out = _out_dir(args)
-    report = run_constant_estimates(cfg)
-    _emit(report, out, args.quiet)
-    return _finish([report], out, args.quiet)
-
-
+# name -> (default config, command).  A command takes the validated config,
+# the user's overrides and the output directory, writes its artifacts and
+# returns its reports.  Runners are looked up by name when a command runs, so
+# wrappers patched onto this module's run_* names (bench/tracing.py) see them.
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "verify-identities": cmd_verify_identities,
-    "estimate-constants": cmd_estimate_constants,
-    "smoothing": cmd_smoothing,
-    "envelope": cmd_envelope,
-    "attractor": cmd_attractor,
-    "kdv-limit": cmd_kdv_limit,
+    "simulate": (RunConfig(grid_k=64, T=5.0, init_sigma=2.5),
+                 _single(lambda cfg: run_energy_envelope(cfg))),
+    "verify-identities": (RunConfig(), cmd_verify_identities),
+    "estimate-constants": (RunConfig(s_values=(0.5, 0.9), rho_trials=2000),
+                           _single(lambda cfg: run_constant_estimates(cfg))),
+    "smoothing": (default_smoothing_config(), _single(lambda cfg: run_smoothing_ladder(cfg))),
+    "envelope": (DEFAULT_ENVELOPE_SUITE[2], cmd_envelope),
+    "attractor": (default_attractor_config(), _single(
+        lambda cfg: _horizon_checked("attractor_probe", cfg, run_attractor_probe, cfg))),
+    "kdv-limit": (default_kdv_limit_config(), _single(lambda cfg: run_kdv_limit(cfg))),
 }
 
 
@@ -387,17 +299,32 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    default, command = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](args)
+        overrides = _read_overrides(args)
+        cfg = RunConfig.from_mapping(default.to_mapping() | overrides)
+        out = _out_dir(args)
+        reports = command(cfg, overrides, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HorizonError as exc:
-        print(f"horizon diagnostic: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
     except StepFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    try:
+        emit_plot_script(out)
+    except MissingArtifactsError:
+        pass  # report-only runs have nothing to plot
+    ok = all(r.passed for r in reports)
+    if not args.quiet:
+        for r in reports:
+            for c in r.checks:
+                print(
+                    f"[{r.experiment}] {c.name}: measured={c.measured:.6g} "
+                    f"tolerance={c.tolerance:.6g} {'pass' if c.passed else 'FAIL'}"
+                )
+        print(f"{'PASS' if ok else 'FAIL'}: artifacts in {out}")
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def main() -> None:

@@ -114,6 +114,10 @@ class RunConfig:
             raise ConfigError(f"s.values must be nonempty with every s >= 0, got {self.s_values}")
         if len(set(self.ladder_k)) != len(self.ladder_k) or any(K < 1 for K in self.ladder_k):
             raise ConfigError(f"ladder.k must hold distinct K >= 1, got {self.ladder_k}")
+        if not 0 < self.restart_fraction < 1:
+            raise ConfigError(f"restart.fraction must lie in (0, 1), got {self.restart_fraction}")
+        if not 0 < self.attractor_window <= 1:
+            raise ConfigError(f"attractor.window must lie in (0, 1], got {self.attractor_window}")
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_k, self.grid_p)
@@ -364,7 +368,7 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         u0 = initial_state_for(cfg, grid)
         params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
-        report.trajectories[f"rung_K{K}"] = traj
+        report.trajectories[f"smoothing_K{K}"] = traj
 
         t_restart = cfg.restart_fraction * cfg.T
         i0 = int(np.argmin(np.abs(traj.times - t_restart)))
@@ -452,7 +456,7 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
         raise StepFailureError(exc.time, exc.member, f"member seed={seed}") from exc
     radii = {}
     for seed, target, traj in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2, trajs):
-        report.trajectories[f"member_seed{seed}"] = traj
+        report.trajectories[f"attractor_seed{seed}"] = traj
         if f.l2() > 0:
             t_star = first_containment_time(traj, radius_ball)
             if t_star is None:

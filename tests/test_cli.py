@@ -154,6 +154,10 @@ class TestDispatch:
         ("simulate", "forcing.mode=-1"),
         ("kdv-limit", "init.mode=500"),
         ("estimate-constants", "s.values=[0.5,1.0]"),
+        ("smoothing", "restart.fraction=2"),
+        ("smoothing", "restart.fraction=-3"),
+        ("attractor", "attractor.window=-1"),
+        ("attractor", "attractor.window=1.5"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
         code = run_cli(command, "--out", str(tmp_path), "--quiet", "--set", override)
@@ -204,6 +208,49 @@ class TestDispatch:
         assert (tmp_path / "report_identity_checks.json").exists()
         for i in (1, 2, 3):
             assert (tmp_path / f"report_normal_form_residual_{i}.json").exists()
+
+    @pytest.mark.parametrize("override, expected", [
+        # nf.time equal to its default was ignored: configs 2-3 kept 0.3/0.4
+        ("nf.time=0.5", [(0.5, 2e-5)] * 3),
+        # nf.dt alone moved configs 2-3 to the default nf.time 0.5
+        ("nf.dt=0.01", [(0.5, 0.01), (0.3, 0.01), (0.4, 0.01)]),
+    ])
+    def test_verify_identities_applies_exactly_the_given_nf_keys(
+        self, tmp_path, monkeypatch, override, expected
+    ):
+        # the residual runs themselves are not needed: record their configs
+        monkeypatch.setattr(
+            fdkdv.cli, "run_normal_form_residual",
+            lambda cfg: fdkdv.experiments.RunReport("normal_form_residual", cfg),
+        )
+        code = run_cli(
+            "verify-identities", "--out", str(tmp_path), "--quiet",
+            "--set", "identities.radius=10", "--set", "identities.k=8",
+            "--set", override,
+        )
+        assert code == EXIT_ASSERTION  # the stand-in reports carry no verdicts
+        for i, (nf_time, nf_dt) in enumerate(expected, start=1):
+            config = read_report_json(tmp_path / f"report_normal_form_residual_{i}.json")[
+                "content"]["config"]
+            assert (config["nf.time"], config["nf.dt"]) == (nf_time, nf_dt)
+
+    @pytest.mark.parametrize("argv, runners", [
+        (["simulate", *SMALL], ["run_energy_envelope"]),
+        (["envelope", *SMALL], ["run_energy_envelope", "run_absorbing_ball"]),
+        (["attractor", "--set", "T=10", "--set", "gamma=1.0", "--set", "grid.k=16",
+          "--set", "h=0.002", "--set", "sample.stride=500"], ["run_attractor_probe"]),
+    ])
+    def test_commands_call_runners_through_cli_names(self, tmp_path, monkeypatch, argv, runners):
+        # bench/tracing.py times the experiments by patching these names
+        called = []
+        for name in runners:
+            def recording(*args, _name=name, _run=getattr(fdkdv.cli, name)):
+                called.append(_name)
+                return _run(*args)
+            monkeypatch.setattr(fdkdv.cli, name, recording)
+        code = run_cli(argv[0], "--out", str(tmp_path), "--quiet", *argv[1:])
+        assert code == EXIT_OK
+        assert called == runners
 
     def test_estimate_constants_smoke(self, tmp_path):
         code = run_cli(
@@ -300,6 +347,36 @@ class TestPlotScript:
             write_trajectory_csv(traj, tmp_path / f"smoothing_K{K}.csv")
         script = emit_plot_script(tmp_path).read_text()
         assert script.count("smoothing_K") == 3
+
+    def test_script_text_is_pinned(self, tmp_path):
+        traj = TestTrajectoryCsv()._traj(2)
+        for name in ("trajectory", "smoothing_K16", "smoothing_K32",
+                     "attractor_seed11", "attractor_seed12"):
+            write_trajectory_csv(traj, tmp_path / f"{name}.csv")
+        assert emit_plot_script(tmp_path).read_text() == (
+            "# generated plotting script; run with: gnuplot plots.gp\n"
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set terminal svg size 900,600\n"
+            "\n"
+            "set output 'envelope.svg'\n"
+            "set title 'l2 norm vs closed-form envelope'\n"
+            "set xlabel 't'\n"
+            "plot 'trajectory.csv' using 1:2 with lines title 'l2 norm', \\\n"
+            "     'trajectory.csv' using 1:3 with lines title 'envelope'\n"
+            "\n"
+            "set output 'smoothing_gaps.svg'\n"
+            "set title 'nonlinear remainder H^s gap across truncations'\n"
+            "set xlabel 't'\n"
+            "plot 'smoothing_K16.csv' using 1:4 with lines title 'K16', \\\n"
+            "     'smoothing_K32.csv' using 1:4 with lines title 'K32'\n"
+            "\n"
+            "set output 'attractor_radii.svg'\n"
+            "set title 'late-time H^s radius per ensemble member'\n"
+            "set xlabel 't'\n"
+            "plot 'attractor_seed11.csv' using 1:5 with lines title 'seed11', \\\n"
+            "     'attractor_seed12.csv' using 1:5 with lines title 'seed12'\n"
+        )
 
     def test_script_consumes_csvs_without_edits(self, tmp_path):
         """Structural smoke: every CSV the script references exists, and the
