@@ -26,6 +26,7 @@ from .flow import (
     evolve,
     evolve_batch,
 )
+from .lattice import EPS_LIMIT, INT64_SAFE_RADIUS
 from .normal_form import smoothing_gap
 from .spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
 
@@ -93,31 +94,45 @@ class RunConfig:
     rho_trials: int = 10000
 
     def __post_init__(self):
-        if self.grid_k < 1:
-            raise ConfigError(f"grid.K must be >= 1, got {self.grid_k}")
-        if self.grid_p != 0 and self.grid_p < 3 * self.grid_k + 1:
-            raise ConfigError(f"grid.p must be 0 (automatic) or >= 3*grid.k+1, got {self.grid_p}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        if self.h < 0:
-            raise ConfigError(f"h must be positive (0 picks the default step), got {self.h}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {'|'.join(SCHEMES)}, got {self.scheme!r}")
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if self.sample_stride < 1:
-            raise ConfigError("sample.stride must be >= 1")
-        for p, key in ((self.forcing_profile, "forcing.profile"), (self.init_profile, "init.profile")):
-            if p not in ("cosine", "random", "zero"):
-                raise ConfigError(f"{key} must be cosine|random|zero, got {p!r}")
-        if not self.s_values or any(s < 0 for s in self.s_values):
-            raise ConfigError(f"s.values must be nonempty with every s >= 0, got {self.s_values}")
-        if len(set(self.ladder_k)) != len(self.ladder_k) or any(K < 1 for K in self.ladder_k):
-            raise ConfigError(f"ladder.k must hold distinct K >= 1, got {self.ladder_k}")
-        if not 0 < self.restart_fraction < 1:
-            raise ConfigError(f"restart.fraction must lie in (0, 1), got {self.restart_fraction}")
-        if not 0 < self.attractor_window <= 1:
-            raise ConfigError(f"attractor.window must lie in (0, 1], got {self.attractor_window}")
+        # (holds, key, requirement): every value is range-checked here, so
+        # a bad one is a ConfigError naming its key before anything runs
+        profiles = ("cosine", "random", "zero")
+        for holds, key, rule in (
+            (self.grid_k >= 1, "grid.k", "be >= 1"),
+            (self.grid_p == 0 or self.grid_p >= 3 * self.grid_k + 1, "grid.p",
+             "be 0 (automatic) or >= 3*grid.k+1"),
+            (self.gamma > 0, "gamma", "be positive"),
+            (self.h >= 0, "h", "be positive (0 picks the default step)"),
+            (self.scheme in SCHEMES, "scheme", f"be one of {'|'.join(SCHEMES)}"),
+            (self.T > 0, "T", "be positive"),
+            (self.sample_stride >= 1, "sample.stride", "be >= 1"),
+            (self.forcing_profile in profiles, "forcing.profile", "be cosine|random|zero"),
+            (self.init_profile in profiles, "init.profile", "be cosine|random|zero"),
+            # random profiles, and every attractor member, draw |u_k| ~ |k|^-sigma
+            (self.forcing_sigma > 0.5, "forcing.sigma", "exceed 1/2"),
+            (self.init_sigma > 0.5, "init.sigma", "exceed 1/2"),
+            (self.forcing_target_l2 > 0, "forcing.target_l2", "be positive"),
+            (self.init_target_l2 > 0, "init.target_l2", "be positive"),
+            (all(x > 0 for x in self.ensemble_target_l2), "ensemble.target_l2", "all be positive"),
+            (self.s_values and all(s >= 0 for s in self.s_values), "s.values",
+             "be nonempty with every s >= 0"),
+            (len(set(self.ladder_k)) == len(self.ladder_k) and all(K >= 1 for K in self.ladder_k),
+             "ladder.k", "hold distinct K >= 1"),
+            (0 < self.restart_fraction < 1, "restart.fraction", "lie in (0, 1)"),
+            (0 < self.attractor_window <= 1, "attractor.window", "lie in (0, 1]"),
+            (0 < self.nf_dt < self.nf_time, "nf.dt", f"lie in (0, nf.time = {self.nf_time})"),
+            (1 <= self.identities_radius <= INT64_SAFE_RADIUS, "identities.radius",
+             f"lie in 1..{INT64_SAFE_RADIUS}"),
+            (self.identities_k >= 1, "identities.k", "be >= 1"),
+            (self.constants_k and all(K >= 1 for K in self.constants_k), "constants.k",
+             "be nonempty with every K >= 1"),
+            (self.constants_trials >= 0, "constants.trials", "be >= 0"),
+            (all(0 < eps < EPS_LIMIT for eps in self.constants_eps), "constants.eps",
+             "lie in (0, 1/22)"),
+        ):
+            if not holds:
+                value = getattr(self, key.replace(".", "_"))
+                raise ConfigError(f"{key} must {rule}, got {value!r}")
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_k, self.grid_p)
@@ -324,25 +339,16 @@ def run_absorbing_ball(envelope: RunReport) -> RunReport:
 
 
 def first_containment_time(traj: TrajectoryRecord, radius: float) -> float | None:
-    """Earliest solver time from which the norm stays strictly inside radius.
-
-    Uses the per-step norms when the record carries them, sampled norms
-    otherwise.
-    """
-    dense = traj.dense_l2 is not None
-    norms = traj.dense_l2 if dense else traj.l2_norms
-    times = traj.dense_times if dense else traj.times
-    inside = norms < radius
+    """Earliest solver time from which the per-step norm of an evolved
+    record (dense_l2) stays strictly inside radius."""
+    inside = traj.dense_l2 < radius
     if not inside[-1]:
         return None
     # last index that was outside; containment starts right after
     outside = np.nonzero(~inside)[0]
     if outside.size == 0:
         return 0.0
-    idx = outside[-1] + 1
-    if idx >= norms.size:
-        return None
-    return float(times[idx])
+    return float(traj.dense_times[outside[-1] + 1])
 
 
 def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
@@ -372,6 +378,12 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
 
         t_restart = cfg.restart_fraction * cfg.T
         i0 = int(np.argmin(np.abs(traj.times - t_restart)))
+        if i0 == traj.times.size - 1:
+            raise ConfigError(
+                f"restart.fraction = {cfg.restart_fraction} restarts at the last sample "
+                f"t = {traj.times[i0]:.6g}, which leaves no later sample to measure; "
+                "lower restart.fraction or sample.stride"
+            )
         u_restart = traj.states[i0]
         rung = {"u0_hs": {}, "gap_sup": {}, "restart_gap_sup": {}}
         samples = list(zip(traj.times, traj.states))

@@ -69,18 +69,14 @@ class FlowParams:
 
     gamma: float
     forcing: CoefSeq
-    h: float = 0.0
+    h: float
     scheme: str = "ifrk4"
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.forcing.is_mean_zero():
-            raise ValueError("forcing must be mean-zero")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.h == 0.0:
-            object.__setattr__(self, "h", default_step(self.grid.K))
         if self.h <= 0:
             raise ValueError(f"step size must be positive, got {self.h}")
 
@@ -98,15 +94,16 @@ def default_step(K: int) -> float:
 class TrajectoryRecord:
     """Sampled states of one run: strictly increasing times, one CoefSeq each.
 
-    dense_times / dense_l2, when present, carry the l2 norm at every solver
-    step (states are only kept at the sampled times).
+    l2_norms holds the l2 norm of each sampled state.  dense_times /
+    dense_l2, when present, carry the l2 norm at every solver step (states
+    are only kept at the sampled times).
     """
 
     times: np.ndarray
     states: tuple[CoefSeq, ...]
     gamma: float
     forcing_l2: float
-    l2_norms: np.ndarray = field(default=None)
+    l2_norms: np.ndarray = field(init=False)
     dense_times: np.ndarray = field(default=None, repr=False)
     dense_l2: np.ndarray = field(default=None, repr=False)
 
@@ -117,10 +114,7 @@ class TrajectoryRecord:
         if len(self.states) != t.size:
             raise ValueError("times and states length mismatch")
         object.__setattr__(self, "times", t)
-        if self.l2_norms is None:
-            object.__setattr__(
-                self, "l2_norms", np.array([s.l2() for s in self.states])
-            )
+        object.__setattr__(self, "l2_norms", np.array([s.l2() for s in self.states]))
 
     def state_at(self, t: float, tol: float = 1e-9) -> CoefSeq:
         i = int(np.argmin(np.abs(self.times - t)))

@@ -19,7 +19,7 @@ from .spectral import CoefSeq, GridSpec, sobolev_norm
 
 # int64 stays exact for the vectorized paths up to this radius:
 # 3*(2R)^3 and (3R)^3 terms must stay below 2^63.
-_INT64_SAFE_RADIUS = 100_000
+INT64_SAFE_RADIUS = 100_000
 
 EPS_LIMIT = 1.0 / 22.0  # the exponent bookkeeping needs 1/2 - 11*eps > 0
 
@@ -69,7 +69,7 @@ def quartic_phase(k1: int, k2: int, k3: int) -> int:
 def verify_cubic_phase_exhaustive(radius: int) -> int:
     """Check the cubic identity for every pair |k1|,|k2| <= radius; returns
     the number of pairs checked."""
-    if radius > _INT64_SAFE_RADIUS:
+    if radius > INT64_SAFE_RADIUS:
         raise ValueError(
             f"radius {radius} exceeds the int64-exact range; use the sampled check"
         )
@@ -90,7 +90,7 @@ def verify_quartic_phase_exhaustive(radius: int) -> int:
     minimum (pure slicing, no masks) and covers each unordered triple at
     least once; returns the number of ordered-representative triples.
     """
-    if radius > _INT64_SAFE_RADIUS:
+    if radius > INT64_SAFE_RADIUS:
         raise ValueError(
             f"radius {radius} exceeds the int64-exact range; use the sampled check"
         )

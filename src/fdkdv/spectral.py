@@ -1,9 +1,10 @@
 """Truncated Fourier representation of mean-zero real fields on the 2*pi torus.
 
 A real field u(x) = sum_k u_k e^{ikx} has u_{-k} = conj(u_k), so its half
-spectrum k = 0..K carries it whole; that is the one stored layout, and a
-field that is not real cannot be built.  Mean-zero fields have u_0 = 0.  All
-norms are sequence norms over both signs of k: ||u||^2 = sum_{k != 0} |u_k|^2.
+spectrum k = 0..K carries it whole; that is the one stored layout.  The
+paper works in L^2_0, so every field is mean-zero: u_0 = 0 is checked once,
+where a field is made, and a field with a mean cannot be built.  All norms
+are sequence norms over both signs of k: ||u||^2 = sum_{k != 0} |u_k|^2.
 
 One product kernel, :func:`product_half`, multiplies real fields given by
 their half spectra through real transforms.  The flow's quadratic term and
@@ -63,12 +64,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CoefSeq:
-    """Fourier coefficients u_k, k = 0..K, of a real field; the negative
-    side is u_{-k} = conj(u_k) and is never stored.
+    """Fourier coefficients u_k, k = 0..K, of a real mean-zero field; the
+    negative side is u_{-k} = conj(u_k) and is never stored.
 
-    Every instance is therefore a real field: the constructor rejects a
-    complex k = 0 entry, the one coefficient that is its own partner.
-    Mean-zero (u_0 = 0) holds for every constructor in this module.
+    The constructor rejects any nonzero u_0, so every instance lies in L^2_0
+    and nothing downstream checks the mean again.  u_0 = -0.0 is zero.
     """
 
     grid: GridSpec
@@ -80,8 +80,8 @@ class CoefSeq:
             raise ValueError(f"expected {self.grid.size} coefficients k = 0..K, got {c.shape}")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("non-finite coefficient")
-        if c[0].imag != 0.0:
-            raise ValueError(f"the k = 0 coefficient of a real field is real, got {c[0]}")
+        if c[0] != 0.0:
+            raise ValueError(f"fields are mean-zero: the k = 0 coefficient must be 0, got {c[0]}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coef", c)
@@ -92,20 +92,18 @@ class CoefSeq:
 
     @classmethod
     def from_modes(cls, grid: GridSpec, modes: dict[int, complex]) -> "CoefSeq":
-        """Build from explicit {k: u_k} entries with 0 <= k <= K; unspecified
+        """Build from explicit {k: u_k} entries with 1 <= k <= K; unspecified
         modes are zero."""
         c = np.zeros(grid.size, dtype=np.complex128)
         for k, v in modes.items():
-            if not 0 <= k <= grid.K:
-                raise ValueError(f"mode {k} outside 0..{grid.K}")
+            if not 1 <= k <= grid.K:
+                raise ValueError(f"mode {k} outside 1..{grid.K}")
             c[k] = v
         return cls(grid, c)
 
     @classmethod
     def cosine(cls, grid: GridSpec, mode: int = 1, amplitude: float = 1.0) -> "CoefSeq":
         """amplitude * cos(mode * x), for 1 <= mode <= K."""
-        if mode < 1:
-            raise ValueError(f"cosine mode must be >= 1, got {mode}")
         return cls.from_modes(grid, {mode: amplitude / 2.0})
 
     def mode(self, k: int) -> complex:
@@ -118,9 +116,6 @@ class CoefSeq:
     def with_coef(self, coef: np.ndarray) -> "CoefSeq":
         return CoefSeq(self.grid, coef)
 
-    def is_mean_zero(self) -> bool:
-        return self.coef[0] == 0.0
-
     def l2(self) -> float:
         return sobolev_norm(self, 0.0)
 
@@ -129,8 +124,8 @@ def sobolev_norm(u: CoefSeq, s: float) -> float:
     """Homogeneous H^s sequence norm ( sum_{k != 0} |k|^{2s} |u_k|^2 )^{1/2},
     summed over both signs of k.
 
-    s = 0 is the plain l2 norm.  The k = 0 entry never contributes, so the
-    homogeneous weight is well defined on this class.
+    s = 0 is the plain l2 norm.  u_0 = 0 on this class, so the homogeneous
+    weight is well defined.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")

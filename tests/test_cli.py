@@ -158,11 +158,32 @@ class TestDispatch:
         ("smoothing", "restart.fraction=-3"),
         ("attractor", "attractor.window=-1"),
         ("attractor", "attractor.window=1.5"),
+        ("simulate", "init.sigma=0.3"),
+        ("simulate", "init.target_l2=-1"),
+        ("simulate", "forcing.profile=random forcing.sigma=0.4"),
+        ("attractor", "T=10 gamma=1.0 grid.k=16 ensemble.target_l2=[0.5,1,2,-4]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.5]"),
+        ("estimate-constants", "rho.trials=1 constants.k=[0,8,16]"),
+        ("verify-identities", "identities.radius=200000"),
+        ("verify-identities", "identities.radius=10 identities.k=0"),
+        ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
-        code = run_cli(command, "--out", str(tmp_path), "--quiet", "--set", override)
+        # override holds one or more settings; the last one is out of range
+        settings = [arg for text in override.split() for arg in ("--set", text)]
+        code = run_cli(command, "--out", str(tmp_path), "--quiet", *settings)
         assert code == EXIT_CONFIG
-        assert override.split("=")[0] in capsys.readouterr().err
+        assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+
+    def test_restart_at_the_last_sample_exits_config(self, tmp_path, capsys):
+        # the restart sample is the last one, so the restarted gap would be 0/0
+        code = run_cli(
+            "smoothing", "--out", str(tmp_path), "--quiet", "--set", "T=0.5",
+            "--set", "ladder.k=[16,32,64]", "--set", "sample.stride=200",
+            "--set", "restart.fraction=0.99",
+        )
+        assert code == EXIT_CONFIG
+        assert "restart.fraction" in capsys.readouterr().err
 
     def test_solver_failure_prints_only_the_solver_line(self, tmp_path, capsys):
         # the blow-up's overflow raises no numpy warning on the way

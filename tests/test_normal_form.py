@@ -219,12 +219,6 @@ class TestNormalFormBilinear:
         assert worst[32] <= 1.05 * max(worst[16], 1e-9) + 0.05
         assert worst[64] <= 1.05 * worst[32] + 0.05
 
-    def test_rejects_non_mean_zero(self):
-        g = GridSpec(8)
-        bad = CoefSeq.from_modes(g, {0: 1.0, 1: 1.0})
-        with pytest.raises(ValueError):
-            normal_form_bilinear(bad, bad)
-
 
 class TestResonantCubic:
     def test_two_mode_arithmetic(self):

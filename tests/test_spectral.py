@@ -52,13 +52,20 @@ class TestCoefSeq:
                 CoefSeq(g, np.zeros(n, dtype=np.complex128))
 
     def test_rejects_complex_mean(self):
+        # every field is mean-zero: this is the one check of u_0 = 0
         g = GridSpec(4)
         c = np.zeros(g.size, dtype=np.complex128)
-        c[0] = 1.0 + 1e-300j
-        with pytest.raises(ValueError, match="k = 0"):
-            CoefSeq(g, c)
-        c[0] = 1.0
-        assert CoefSeq(g, c).mode(0) == 1.0
+        for mean in (1.0 + 1e-300j, 1e-300j, 1.0, -1e-300):
+            c[0] = mean
+            with pytest.raises(ValueError, match="mean-zero"):
+                CoefSeq(g, c)
+        for x in (0.0, 1.0, 1j):
+            with pytest.raises(ValueError, match="outside"):
+                CoefSeq.from_modes(g, {0: x})
+        # a signed zero is zero: the stepper's k = 0 slot can produce it
+        for zero in (-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)):
+            c[0] = zero
+            assert CoefSeq(g, c).mode(0) == 0.0
 
     def test_from_modes_rejects_keys_outside_half_spectrum(self):
         g = GridSpec(4)
@@ -224,7 +231,7 @@ class TestRandomRoughState:
 
     def test_mean_zero_real_field(self):
         u = random_rough_state(GridSpec(16), 0.6, seed=5, target_l2=1.0)
-        assert u.is_mean_zero()
+        assert u.mode(0) == 0
         assert u.coef.shape == (17,)
 
     def test_low_modes_shared_across_truncations(self):
