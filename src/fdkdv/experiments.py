@@ -124,11 +124,15 @@ class RunConfig:
             (1 <= self.identities_radius <= INT64_SAFE_RADIUS, "identities.radius",
              f"lie in 1..{INT64_SAFE_RADIUS}"),
             (self.identities_k >= 1, "identities.k", "be >= 1"),
-            (self.constants_k and all(K >= 1 for K in self.constants_k), "constants.k",
-             "be nonempty with every K >= 1"),
+            # the constant estimates compare each rung with the one below it;
+            # B vanishes at K = 1, which would divide the bilinear growth by 0
+            (len(set(self.constants_k)) == len(self.constants_k) >= 2
+             and all(K >= 2 for K in self.constants_k),
+             "constants.k", "hold at least two distinct K, every K >= 2"),
             (self.constants_trials >= 0, "constants.trials", "be >= 0"),
-            (all(0 < eps < EPS_LIMIT for eps in self.constants_eps), "constants.eps",
-             "lie in (0, 1/22)"),
+            (self.constants_eps and all(0 < eps < EPS_LIMIT for eps in self.constants_eps),
+             "constants.eps", "be nonempty with every eps in (0, 1/22)"),
+            (self.rho_trials >= 1, "rho.trials", "be >= 1"),
         ):
             if not holds:
                 value = getattr(self, key.replace(".", "_"))
@@ -372,6 +376,12 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         grid = GridSpec(K)
         f = forcing_for(cfg, grid)
         u0 = initial_state_for(cfg, grid)
+        if not u0.coef.any():
+            # the verdicts divide by u0's H^s norms (and, unforced, by gaps of 0)
+            raise ConfigError(
+                f"init.profile = {cfg.init_profile!r} gives u0 = 0; the smoothing ladder "
+                "needs nonzero initial data, whose H^s norm grows along the ladder"
+            )
         params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj

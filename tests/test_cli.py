@@ -164,6 +164,17 @@ class TestDispatch:
         ("attractor", "T=10 gamma=1.0 grid.k=16 ensemble.target_l2=[0.5,1,2,-4]"),
         ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.5]"),
         ("estimate-constants", "rho.trials=1 constants.k=[0,8,16]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[]"),
+        ("estimate-constants", "constants.trials=1 rho.trials=0"),
+        ("estimate-constants", "constants.trials=1 rho.trials=-3"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8,16]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[1,2]"),
+        # the smoothing ladder's ratio verdicts divide by u0's H^s norms
+        ("smoothing", "T=0.5 ladder.k=[16,32,64] sample.stride=200 forcing.profile=zero "
+                      "init.profile=zero"),
+        ("smoothing", "init.amplitude=0 init.profile=cosine"),
         ("verify-identities", "identities.radius=200000"),
         ("verify-identities", "identities.radius=10 identities.k=0"),
         ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),

@@ -1,10 +1,13 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fdkdv import lattice
 from fdkdv.lattice import (
     LatticeBudget,
     bilinear_constant_ladder,
@@ -19,6 +22,13 @@ from fdkdv.lattice import (
 )
 from fdkdv.normal_form import normal_form_bilinear
 from fdkdv.spectral import sobolev_norm
+
+
+def _quartic_count(radius: int) -> int:
+    # sum of m^2 over m = 1..2*radius+1: one m x m (k2, k3) grid per k1
+    n = 2 * radius + 1
+    return n * (n + 1) * (2 * n + 1) // 6
+
 
 nonzero_int = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda k: k != 0)
 
@@ -68,7 +78,35 @@ class TestQuarticPhase:
         assert quartic_phase(*triple) == expected
 
     def test_exhaustive_small_radius(self):
-        verify_quartic_phase_exhaustive(40)
+        assert verify_quartic_phase_exhaustive(40) == _quartic_count(40)
+
+    # 415 is the last radius scanned in int32 (30 R^3 < 2^31), 416 the first in int64
+    @pytest.mark.parametrize("radius", [415, 416])
+    def test_exhaustive_count_is_the_closed_form(self, radius):
+        assert verify_quartic_phase_exhaustive(radius) == _quartic_count(radius)
+
+    @pytest.mark.parametrize("radius, dtype", [(415, np.int32), (416, np.int64)])
+    def test_planted_mismatch_names_its_triple(self, monkeypatch, radius, dtype):
+        # bump k2 + k3, and so both sides of the identity, at one (k2, k3) cell
+        # of the fourth k1 slice; row 130 lies in the slice's second block
+        i1, i, j = 3, 130, 200
+        k1 = -radius + i1
+        window = 2 * radius + 1 - i1
+        dtypes = set()
+
+        def planted(x, m):
+            dtypes.add(x.dtype)
+            view = sliding_window_view(x, m)
+            if m == window:
+                view = view.copy()
+                view[i, j] += 1
+            return view
+
+        monkeypatch.setattr(lattice, "sliding_window_view", planted)
+        message = f"quartic phase identity failed at ({k1}, {k1 + i}, {k1 + j})"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            verify_quartic_phase_exhaustive(radius)
+        assert dtypes == {np.dtype(dtype)}
 
     def test_sampled_wide_integers(self):
         # k4^3 here exceeds int64, exercising the wide-integer path
@@ -188,10 +226,14 @@ class TestBilinearNormConstant:
         assert max(a, b) / min(a, b) <= 1.10
 
     def test_ladder_stable_across_truncations(self):
-        vals = bilinear_constant_ladder((8, 16, 32), 0.9, trials=60, seed=5)
-        assert vals[1] <= 1.05 * vals[0]
-        assert vals[2] <= 1.05 * vals[1]
-        assert vals == sorted(vals)  # warm starts make the ladder monotone
+        for s in (0.9, 0.5):
+            vals = bilinear_constant_ladder((8, 16, 32), s, trials=60, seed=5)
+            assert vals[1] <= 1.05 * vals[0]
+            assert vals[2] <= 1.05 * vals[1]
+            # warm starts make the ladder monotone to roundoff; the s = 0.5
+            # rungs are flat to 5e-7, so an exact comparison would test roundoff
+            for lo, hi in zip(vals, vals[1:]):
+                assert hi >= lo * (1.0 - 1e-12)
 
     def test_reaches_the_supremum(self):
         # greedy coordinate ascent stopped at 0.27928 on the first rung; the
