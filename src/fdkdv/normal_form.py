@@ -262,12 +262,17 @@ def normal_form_residual(
         return z.coef - np.exp(-g * tau) * normal_form_bilinear(a, a, tau).coef
 
     lhs = (bracket(t + dt) - bracket(t - dt)) / (2.0 * dt)
+    return float(np.max(np.abs(lhs - _identity_rhs(states[t], frame, t))))
 
-    z = states[t]
+
+def _identity_rhs(z: CoefSeq, frame: NormalFormFrame, t: float) -> np.ndarray:
+    """Right side of the differential identity (see normal_form_residual)
+    at the twisted state z at time t, on k = 0..K."""
+    g = frame.gamma
     y = frame.y_at(t)
     a = z.with_coef(z.coef + y.coef)
     K = a.grid.K
-    rhs = (
+    return (
         np.exp(-2.0 * g * t) * _resonant_cubic_banded(a.coef, K)
         - g * y.coef
         + g * np.exp(-g * t) * normal_form_bilinear(a, a, t).coef
@@ -275,7 +280,6 @@ def normal_form_residual(
         * normal_form_bilinear(a, frame.y_rate_minus_gamma_y(t), t).coef
         + np.exp(-2.0 * g * t) * nonresonant_cubic(a, t, pair_sum_band=K).coef
     )
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def smoothing_gap(u0: CoefSeq, u: CoefSeq, t: float, gamma: float, s: float) -> float:

@@ -241,6 +241,19 @@ class TestDispatch:
         for i in (1, 2, 3):
             assert (tmp_path / f"report_normal_form_residual_{i}.json").exists()
 
+    def test_verify_identities_nf_time_off_the_dt_lattice(self, tmp_path):
+        # (nf.time - nf.dt)/nf.dt = 1665.67 once made the residual runs exit 2,
+        # after the identity report had been written
+        code = run_cli(
+            "verify-identities", "--out", str(tmp_path), "--quiet",
+            "--set", "nf.time=0.05", "--set", "nf.dt=3e-5",
+            "--set", "identities.radius=10", "--set", "identities.k=8",
+        )
+        assert code == EXIT_OK
+        labels = ["identity_checks"] + [f"normal_form_residual_{i}" for i in (1, 2, 3)]
+        for label in labels:
+            assert read_report_json(tmp_path / f"report_{label}.json")["content"]["passed"]
+
     @pytest.mark.parametrize("override, expected", [
         # nf.time equal to its default was ignored: configs 2-3 kept 0.3/0.4
         ("nf.time=0.5", [(0.5, 2e-5)] * 3),

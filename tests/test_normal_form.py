@@ -1,9 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fdkdv.experiments import (
+    default_residual_configs,
+    forcing_for,
+    initial_state_for,
+    run_normal_form_residual,
+    stencil_trajectory,
+)
 from fdkdv.flow import FlowParams, TrajectoryRecord, evolve, step
 from fdkdv.normal_form import (
     NormalFormFrame,
+    _identity_rhs,
     _resonant_cubic_banded,
     nonresonant_cubic,
     normal_form_bilinear,
@@ -13,7 +23,7 @@ from fdkdv.normal_form import (
     smoothing_gap,
     third_antiderivative,
 )
-from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
+from fdkdv.spectral import CoefSeq, GridSpec, product_half, random_rough_state, sobolev_norm
 
 
 def hermitian_state(grid, seed, decay=1.0, scale=1.0):
@@ -415,6 +425,67 @@ class TestDifferentialIdentity:
             res[dt] = normal_form_residual(traj, frame, 0.2, dt)
         assert res[4e-5] < 1e-5
         assert 3.4 < res[4e-5] / res[2e-5] < 4.6
+
+    def test_run_residual_matches_uniform_dt_oracle(self):
+        """run_normal_form_residual reaches t - dt in coarse steps; the
+        residuals and halving ratio equal those of the all-dt march, and the
+        stencil is two steps of exactly dt from t - dt."""
+        cfg = replace(default_residual_configs()[1], nf_time=0.05)
+        t, f, u0 = cfg.nf_time, forcing_for(cfg), initial_state_for(cfg)
+        frame = NormalFormFrame.from_forcing(f, cfg.gamma)
+        dts = (cfg.nf_dt, cfg.nf_dt / 2.0)
+        oracle = {dt: self._stencil(u0, cfg.gamma, f, t, dt) for dt in dts}
+        expected = [normal_form_residual(oracle[dt], frame, t, dt) for dt in dts]
+        expected.append(expected[0] / expected[1])
+
+        report = run_normal_form_residual(cfg)
+        got = [*report.measured["residuals"].values(), report.measured["halving_ratio"]]
+        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=0.0)
+
+        params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.nf_dt)
+        for dt in dts:
+            traj = stencil_trajectory(u0, params, t, dt)
+            np.testing.assert_array_equal(traj.times, [t - dt, t, t + dt])
+            uniform = replace(params, h=dt)
+            s0, s1, s2 = traj.states
+            np.testing.assert_array_equal(s1.coef, step(s0, t - dt, uniform).coef)
+            np.testing.assert_array_equal(s2.coef, step(s1, t, uniform).coef)
+
+    @pytest.mark.parametrize("K", [128, 512, 2048])
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_exact_time_derivative_matches_identity_rhs(self, K, t):
+        """d/dt [z - e^{-gamma t} B(a, a, t)] in closed form at one state,
+        with dz/dt from the truncated equation, dy/dt = (gamma - i k^3) y and
+        the phase derivative of B a single product, equals the right side
+        normal_form_residual compares against, to roundoff."""
+        gamma = 0.5
+        g = GridSpec(K)
+        k = g.modes.astype(np.float64)
+        f = random_rough_state(g, 2.0, seed=K + 1, target_l2=1.0)
+        u = random_rough_state(g, 1.2, seed=K, target_l2=1.0)
+        frame = NormalFormFrame.from_forcing(f, gamma)
+        twist = np.exp((gamma - 1j * k**3) * t)
+        z = frame.to_z(u, t)
+        y = frame.y_at(t)
+        a = CoefSeq(g, z.coef + y.coef)
+
+        dz = twist * (-gamma * frame.v.coef - 0.5j * k * product_half(u.coef, u.coef, g))
+        dz[0] = 0.0
+        da = CoefSeq(g, dz + (gamma - 1j * k**3) * y.coef)
+        tilde = a.coef * np.exp(1j * t * k**3)
+        phase_deriv = -0.5j * k * np.exp(-1j * t * k**3) * product_half(tilde, tilde, g)
+
+        damp = np.exp(-gamma * t)
+        terms = (
+            dz,
+            gamma * damp * normal_form_bilinear(a, a, t).coef,
+            -damp * phase_deriv,
+            -2.0 * damp * normal_form_bilinear(a, da, t).coef,
+        )
+        lhs = sum(terms)
+        rhs = _identity_rhs(z, frame, t)
+        scale = max(np.max(np.abs(term)) for term in terms)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
     def test_zero_trajectory_zero_residual(self):
         g = GridSpec(8)
