@@ -50,12 +50,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _envelope_value(t: float, u0_l2: float, f_l2: float, gamma: float) -> float:
-    if gamma > 0:
-        return energy_envelope(t, u0_l2, f_l2, gamma)
-    return u0_l2 + f_l2 * t  # gamma -> 0 limit (conservation runs)
-
-
 def write_trajectory_csv(traj: TrajectoryRecord, path, s_values=(0.5,)) -> None:
     """Columns: t, l2_norm, envelope, then hs_gap_s{s} and hs_norm_s{s} for
     each requested s; all floats carry 17 significant digits."""
@@ -65,12 +59,9 @@ def write_trajectory_csv(traj: TrajectoryRecord, path, s_values=(0.5,)) -> None:
     for s in s_values:
         header += [f"hs_gap_s{s:g}", f"hs_norm_s{s:g}"]
     lines = [",".join(header)]
-    for t, state, norm in zip(traj.times, traj.states, traj.l2_norms):
-        row = [
-            _fmt(t),
-            _fmt(norm),
-            _fmt(_envelope_value(float(t), traj.l2_norms[0], traj.forcing_l2, traj.gamma)),
-        ]
+    envelope = energy_envelope(traj.times, traj.l2_norms[0], traj.forcing_l2, traj.gamma)
+    for t, state, norm, env in zip(traj.times, traj.states, traj.l2_norms, envelope):
+        row = [_fmt(t), _fmt(norm), _fmt(env)]
         for s in s_values:
             row.append(_fmt(smoothing_gap(u0, state, float(t), traj.gamma, s)))
             row.append(_fmt(sobolev_norm(state, s)))
@@ -96,6 +87,10 @@ def read_report_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 # One figure per artifact group: glob, figure, title, and the (column, curve
@@ -172,8 +167,6 @@ def _read_overrides(args) -> dict:
     overrides = {}
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         loaded = read_report_json(path)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
@@ -196,7 +189,10 @@ def _out_dir(args) -> Path:
         root = Path(args.out)
     else:
         root = Path(os.environ.get(OUT_ROOT_ENV, "runs")) / time.strftime("%Y%m%d-%H%M%S")
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at root or on the way to it
+        raise ConfigError(f"cannot make output directory {root}: {exc.strerror}") from exc
     return root
 
 

@@ -51,6 +51,23 @@ IDENTITY_RESIDUAL_TOL = 1e-12
 CONSTANT_GROWTH = 1.05
 
 
+def _key(name: str) -> str:
+    """The dotted config key of a RunConfig field: grid_k -> grid.k."""
+    return name.replace("_", ".", 1)
+
+
+_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether value fits the field annotation kind: int, float (an int is
+    kept as given), str, or tuple[<one of those>, ...].  A bool is no
+    number, though Python counts it an int."""
+    if kind.startswith("tuple["):  # tuple[<item>, ...]
+        return isinstance(value, tuple) and all(_has_type(x, kind[6:-6]) for x in value)
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, hashable description of one experiment run.
@@ -94,8 +111,13 @@ class RunConfig:
     rho_trials: int = 10000
 
     def __post_init__(self):
-        # (holds, key, requirement): every value is range-checked here, so
-        # a bad one is a ConfigError naming its key before anything runs
+        # every value is type-checked, then range-checked by the rows
+        # (holds, key, requirement), so a bad one is a ConfigError naming
+        # its key before anything runs
+        for f in fields(self):
+            if not _has_type(value := getattr(self, f.name), f.type):
+                kind = f.type.replace("tuple", "list")
+                raise ConfigError(f"{_key(f.name)} must have type {kind}, got {value!r}")
         profiles = ("cosine", "random", "zero")
         for holds, key, rule in (
             (self.grid_k >= 1, "grid.k", "be >= 1"),
@@ -147,28 +169,19 @@ class RunConfig:
     def to_mapping(self) -> dict:
         out = {}
         for f in fields(self):
-            key = f.name.replace("_", ".", 1) if "_" in f.name else f.name
             val = getattr(self, f.name)
-            out[key] = list(val) if isinstance(val, tuple) else val
+            out[_key(f.name)] = list(val) if isinstance(val, tuple) else val
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
-        lookup = {}
-        for f in fields(cls):
-            key = f.name.replace("_", ".", 1) if "_" in f.name else f.name
-            lookup[key] = f.name
+        lookup = {_key(f.name): f.name for f in fields(cls)}
         kwargs = {}
         for key, val in mapping.items():
             if key not in lookup:
                 raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(val, list):
-                val = tuple(val)
-            kwargs[lookup[key]] = val
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            kwargs[lookup[key]] = tuple(val) if isinstance(val, list) else val
+        return cls(**kwargs)
 
     def hash(self) -> str:
         canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
@@ -286,7 +299,7 @@ def run_energy_envelope(cfg: RunConfig) -> RunReport:
     traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
 
     u0_l2, f_l2 = u0.l2(), f.l2()
-    env = np.array([energy_envelope(t, u0_l2, f_l2, cfg.gamma) for t in traj.dense_times])
+    env = energy_envelope(traj.dense_times, u0_l2, f_l2, cfg.gamma)
     violation = float(np.max(traj.dense_l2 - env))
     report = RunReport("energy_envelope", cfg, trajectories={"trajectory": traj})
     report.check("envelope_violation", violation, ENVELOPE_TOL)
@@ -586,31 +599,22 @@ def envelope_suite(configs: tuple[RunConfig, ...] = DEFAULT_ENVELOPE_SUITE) -> l
 STENCIL_APPROACH_STEP = 1e-4
 
 
-def stencil_trajectory(u0: CoefSeq, params: FlowParams, t: float, dt: float) -> TrajectoryRecord:
-    """The three states at t - dt, t, t + dt needed by the central-difference
-    residual: integrate to t - dt with steps of max(dt, STENCIL_APPROACH_STEP)
-    (the last one shortened to land there), then take two steps of dt."""
-    from .flow import step
-
-    uniform = replace(params, h=dt)
+def stencil_states(u0: CoefSeq, params: FlowParams, t: float, dt: float) -> tuple[CoefSeq, ...]:
+    """The states at t - dt, t, t + dt, in that order, needed by the
+    central-difference residual: integrate to t - dt with steps of
+    max(dt, STENCIL_APPROACH_STEP) (the last one shortened to land there),
+    then run two steps of dt from there."""
     approach = replace(params, h=max(dt, STENCIL_APPROACH_STEP))
     s0 = evolve(u0, t - dt, approach, sample_every=10**9).states[-1]
-    s1 = step(s0, t - dt, uniform)
-    s2 = step(s1, t, uniform)
-    return TrajectoryRecord(
-        times=np.array([t - dt, t, t + dt]),
-        states=(s0, s1, s2),
-        gamma=params.gamma,
-        forcing_l2=params.forcing.l2(),
-    )
+    return evolve(s0, 2.0 * dt, replace(params, h=dt)).states
 
 
 def run_normal_form_residual(cfg: RunConfig) -> RunReport:
     """Residual of the differentiated normal-form identity at (nf.time,
     nf.dt) and at the halved dt: small at the default resolution and
     shrinking ~4x, i.e. pure central-difference error.  Each stencil comes
-    from :func:`stencil_trajectory`, so only its two steps are taken at dt
-    and nf.time need not be a multiple of nf.dt."""
+    from :func:`stencil_states`, so only its two steps are taken at dt and
+    nf.time need not be a multiple of nf.dt."""
     from .normal_form import NormalFormFrame, normal_form_residual
 
     t0 = time.perf_counter()
@@ -621,8 +625,8 @@ def run_normal_form_residual(cfg: RunConfig) -> RunReport:
     params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.nf_dt, scheme=cfg.scheme)
     residuals = {}
     for dt in (cfg.nf_dt, cfg.nf_dt / 2.0):
-        traj = stencil_trajectory(u0, params, cfg.nf_time, dt)
-        residuals[dt] = normal_form_residual(traj, frame, cfg.nf_time, dt)
+        states = stencil_states(u0, params, cfg.nf_time, dt)
+        residuals[dt] = normal_form_residual(states, frame, cfg.nf_time, dt)
     ratio = residuals[cfg.nf_dt] / residuals[cfg.nf_dt / 2.0]
     report = RunReport("normal_form_residual", cfg)
     report.check("residual_at_default_dt", residuals[cfg.nf_dt], RESIDUAL_TOL)

@@ -94,9 +94,9 @@ def default_step(K: int) -> float:
 class TrajectoryRecord:
     """Sampled states of one run: strictly increasing times, one CoefSeq each.
 
-    l2_norms holds the l2 norm of each sampled state.  dense_times /
-    dense_l2, when present, carry the l2 norm at every solver step (states
-    are only kept at the sampled times).
+    l2_norms holds the l2 norm of each sampled state; dense_times /
+    dense_l2 carry the l2 norm at every solver step (states are only kept
+    at the sampled times).  :func:`evolve_batch` is the one constructor.
     """
 
     times: np.ndarray
@@ -104,8 +104,8 @@ class TrajectoryRecord:
     gamma: float
     forcing_l2: float
     l2_norms: np.ndarray = field(init=False)
-    dense_times: np.ndarray = field(default=None, repr=False)
-    dense_l2: np.ndarray = field(default=None, repr=False)
+    dense_times: np.ndarray = field(repr=False)
+    dense_l2: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -115,12 +115,6 @@ class TrajectoryRecord:
             raise ValueError("times and states length mismatch")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "l2_norms", np.array([s.l2() for s in self.states]))
-
-    def state_at(self, t: float, tol: float = 1e-9) -> CoefSeq:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol * max(1.0, abs(t)):
-            raise KeyError(f"no sample at t = {t:.9g} (nearest: {self.times[i]:.9g})")
-        return self.states[i]
 
 
 def linear_multiplier(k, t: float, gamma: float):
@@ -364,14 +358,21 @@ def evolve(u0: CoefSeq, T: float, params: FlowParams, sample_every: int = 1) -> 
     return evolve_batch((u0,), T, params, sample_every)[0]
 
 
-def energy_envelope(t: float, u0_l2: float, f_l2: float, gamma: float) -> float:
-    """e^{-gamma t} ||u0|| + (||f||/gamma)(1 - e^{-gamma t}).
+def energy_envelope(t, u0_l2: float, f_l2: float, gamma: float):
+    """e^{-gamma t} ||u0|| + (||f||/gamma)(1 - e^{-gamma t}) at a time t or
+    an array of times (a float or an array back).
 
     Monotone path from ||u0|| to the limit radius ||f||/gamma; bounds the l2
-    norm of every solution for positive times.
+    norm of every solution for positive times.  At gamma = 0 it is the limit
+    ||u0|| + ||f|| t, the conserved norm when f = 0.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return float(np.exp(-gamma * t) * u0_l2 + (f_l2 / gamma) * (1.0 - np.exp(-gamma * t)))
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0) or gamma < 0:
+        raise ValueError(f"t and gamma must be >= 0, got t >= {np.min(t, initial=0.0)}, "
+                         f"gamma = {gamma}")
+    if gamma == 0:
+        env = u0_l2 + f_l2 * t
+    else:
+        decay = np.exp(-gamma * t)
+        env = decay * u0_l2 + (f_l2 / gamma) * (1.0 - decay)
+    return env if env.ndim else float(env)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import TrajectoryRecord, linear_flow
+from .flow import linear_flow, linear_multiplier
 from .spectral import CoefSeq, GridSpec, product_half, sobolev_norm
 
 
@@ -53,8 +53,8 @@ class NormalFormFrame:
         return cls(third_antiderivative(f), gamma)
 
     def _twist(self, t: float) -> np.ndarray:
-        k = self.v.grid.modes.astype(np.float64)
-        return np.exp((self.gamma - 1j * k**3) * t)
+        """e^{(gamma - i k^3) t}: the damped Airy factor run backwards."""
+        return linear_multiplier(self.v.grid.modes, -t, self.gamma)
 
     def y_at(self, t: float) -> CoefSeq:
         return self.v.with_coef(self.v.coef * self._twist(t))
@@ -87,7 +87,7 @@ def _twisted_antiderivative(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarra
     not applied.
     """
     k = np.arange(u.grid.K + 1, dtype=np.float64)
-    twist = np.exp(1j * t * k**3) if t != 0.0 else np.ones_like(k)
+    twist = linear_multiplier(k, t, 0.0) if t != 0.0 else np.ones_like(k)
     q = np.zeros(k.size, dtype=np.complex128)
     q[1:] = u.coef[1:] * twist[1:] / (1j * k[1:])
     return q, twist
@@ -232,13 +232,12 @@ def resonant_cancellation_residual(u: CoefSeq) -> float:
     return float(np.max(np.abs(sums - expected)))
 
 
-def normal_form_residual(
-    traj: TrajectoryRecord, frame: NormalFormFrame, t: float, dt: float
-) -> float:
+def normal_form_residual(states, frame: NormalFormFrame, t: float, dt: float) -> float:
     """Max-mode residual of the differential identity along a trajectory.
 
-    The left side central-differences d/dt [z - e^{-gamma t} B(z+y, z+y)]
-    from states at t - dt, t, t + dt; the right side evaluates, at time t,
+    states are u(t - dt), u(t), u(t + dt), in that order.  The left side
+    central-differences d/dt [z - e^{-gamma t} B(z+y, z+y)] from them; the
+    right side evaluates, at time t,
 
         e^{-2 gamma t} * (resonant cubic)  -  gamma y
         + gamma e^{-gamma t} B(z+y, z+y)
@@ -252,17 +251,16 @@ def normal_form_residual(
     (verified to 5e-14 by brute-force substitution at small K).
     """
     g = frame.gamma
-    states = {}
-    for tau in (t - dt, t, t + dt):
-        states[tau] = frame.to_z(traj.state_at(tau), tau)
+    before, now, after = (
+        frame.to_z(u, tau) for u, tau in zip(states, (t - dt, t, t + dt), strict=True)
+    )
 
-    def bracket(tau: float) -> np.ndarray:
-        z = states[tau]
+    def bracket(z: CoefSeq, tau: float) -> np.ndarray:
         a = z.with_coef(z.coef + frame.y_at(tau).coef)
         return z.coef - np.exp(-g * tau) * normal_form_bilinear(a, a, tau).coef
 
-    lhs = (bracket(t + dt) - bracket(t - dt)) / (2.0 * dt)
-    return float(np.max(np.abs(lhs - _identity_rhs(states[t], frame, t))))
+    lhs = (bracket(after, t + dt) - bracket(before, t - dt)) / (2.0 * dt)
+    return float(np.max(np.abs(lhs - _identity_rhs(now, frame, t))))
 
 
 def _identity_rhs(z: CoefSeq, frame: NormalFormFrame, t: float) -> np.ndarray:

@@ -48,6 +48,27 @@ class TestDispatch:
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, content, below", [
+        ("--config", None, ""),  # a directory
+        ("--config", b'{"T": "\xff"}', ""),  # not UTF-8
+        ("--out", b"", ""),  # an existing file
+        ("--out", b"", "sub"),  # under a file
+    ], ids=["config-dir", "config-not-utf8", "out-is-file", "out-under-file"])
+    def test_unusable_path_exits_config(self, tmp_path, capsys, monkeypatch, flag, content, below):
+        made = tmp_path / "x"
+        if content is None:
+            made.mkdir()
+        else:
+            made.write_bytes(content)
+        path = made / below if below else made
+        ran = []
+        monkeypatch.setattr(fdkdv.cli, "run_energy_envelope", lambda cfg: ran.append(cfg))
+        other = ["--out", str(tmp_path / "out")] if flag == "--config" else []
+        code = run_cli("simulate", flag, str(path), *other, "--quiet")
+        assert code == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+        assert ran == []  # the error comes before anything runs
+
     def test_malformed_config_diagnoses_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"grid.k": 16,\n "T": }\n')
@@ -101,6 +122,11 @@ class TestDispatch:
         assert code == EXIT_OK
         report = read_report_json(tmp_path / "report_kdv_limit.json")
         assert report["content"]["passed"] is True
+        # gamma = f = 0: the envelope is the conserved norm ||u0|| on every row
+        rows = [line.split(",") for line in
+                (tmp_path / "trajectory.csv").read_text().strip().split("\n")[1:]]
+        assert len(rows) > 1
+        assert all(row[2] == rows[0][1] for row in rows)
 
     def test_envelope_writes_both_reports(self, tmp_path):
         code = run_cli(
@@ -178,6 +204,13 @@ class TestDispatch:
         ("verify-identities", "identities.radius=200000"),
         ("verify-identities", "identities.radius=10 identities.k=0"),
         ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
+        # a value of the wrong type is named like one out of range
+        ("kdv-limit", "grid.k=1.5"),
+        ("simulate", "T=true"),
+        ("verify-identities", "identities.radius=2.5"),
+        ("estimate-constants", "constants.k=[8,16.5]"),
+        ("simulate", "s.values=0.5"),
+        ("verify-identities", "nf.time=null"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
         # override holds one or more settings; the last one is out of range

@@ -204,13 +204,17 @@ class TestEvolve:
             np.array_equal(a.coef, b.coef) for a, b in zip(t1.states, t2.states)
         )
 
-    def test_state_lookup(self):
+    def test_samples_by_position(self):
+        # the i-th sample is the state at times[i]: every sample_every-th
+        # step, then T, each equal to the run that ends there
         g = GridSpec(8)
-        params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=0.01)
-        traj = evolve(CoefSeq.cosine(g), 0.1, params, sample_every=5)
-        traj.state_at(0.05)
-        with pytest.raises(KeyError):
-            traj.state_at(0.033)
+        params = FlowParams(gamma=1.0, forcing=CoefSeq.cosine(g), h=0.01)
+        u0 = CoefSeq.cosine(g)
+        traj = evolve(u0, 0.12, params, sample_every=5)
+        np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.12], rtol=0, atol=1e-15)
+        assert traj.states[0] is u0
+        for t, u in zip(traj.times[1:], traj.states[1:]):
+            assert np.array_equal(u.coef, evolve(u0, t, params).states[-1].coef)
 
 
 class TestEtdrk4Scheme:
@@ -580,7 +584,23 @@ class TestEnergyEnvelope:
         with pytest.raises(ValueError):
             energy_envelope(-1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            energy_envelope(1.0, 1.0, 1.0, 0.0)
+            energy_envelope(np.array([0.0, -1e-3]), 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            energy_envelope(1.0, 1.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_array_equals_scalar_calls(self, gamma):
+        ts = np.linspace(0.0, 20.0, 2001)
+        env = energy_envelope(ts, 1.3, 0.7, gamma)
+        assert env.shape == ts.shape
+        assert np.array_equal(env, [energy_envelope(t, 1.3, 0.7, gamma) for t in ts])
+        assert isinstance(energy_envelope(ts[5], 1.3, 0.7, gamma), float)
+
+    def test_undamped_limit(self):
+        # gamma = 0: the norm grows at most linearly, ||u0|| + ||f|| t
+        ts = np.linspace(0.0, 5.0, 11)
+        assert np.array_equal(energy_envelope(ts, 1.5, 0.25, 0.0), 1.5 + 0.25 * ts)
+        assert energy_envelope(2.0, 1.5, 0.0, 0.0) == 1.5
 
 
 class TestFlowParams:

@@ -8,13 +8,14 @@ from fdkdv.experiments import (
     forcing_for,
     initial_state_for,
     run_normal_form_residual,
-    stencil_trajectory,
+    stencil_states,
 )
-from fdkdv.flow import FlowParams, TrajectoryRecord, evolve, step
+from fdkdv.flow import FlowParams, evolve, step
 from fdkdv.normal_form import (
     NormalFormFrame,
     _identity_rhs,
     _resonant_cubic_banded,
+    _twisted_antiderivative,
     nonresonant_cubic,
     normal_form_bilinear,
     normal_form_residual,
@@ -402,17 +403,11 @@ class TestDifferentialIdentity:
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def _stencil(self, u0, gamma, f, t, dt):
+        """u(t - dt), u(t), u(t + dt) marched the whole way at dt."""
         params = FlowParams(gamma=gamma, forcing=f, h=dt)
-        traj = evolve(u0, t - dt, params, sample_every=10**9)
-        s0 = traj.states[-1]
+        s0 = evolve(u0, t - dt, params, sample_every=10**9).states[-1]
         s1 = step(s0, t - dt, params)
-        s2 = step(s1, t, params)
-        return TrajectoryRecord(
-            times=np.array([t - dt, t, t + dt]),
-            states=(s0, s1, s2),
-            gamma=gamma,
-            forcing_l2=f.l2(),
-        )
+        return s0, s1, step(s1, t, params)
 
     def test_residual_second_order_in_dt(self):
         g = GridSpec(16)
@@ -421,8 +416,7 @@ class TestDifferentialIdentity:
         frame = NormalFormFrame.from_forcing(f, 1.0)
         res = {}
         for dt in (4e-5, 2e-5):
-            traj = self._stencil(u0, 1.0, f, 0.2, dt)
-            res[dt] = normal_form_residual(traj, frame, 0.2, dt)
+            res[dt] = normal_form_residual(self._stencil(u0, 1.0, f, 0.2, dt), frame, 0.2, dt)
         assert res[4e-5] < 1e-5
         assert 3.4 < res[4e-5] / res[2e-5] < 4.6
 
@@ -444,10 +438,8 @@ class TestDifferentialIdentity:
 
         params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.nf_dt)
         for dt in dts:
-            traj = stencil_trajectory(u0, params, t, dt)
-            np.testing.assert_array_equal(traj.times, [t - dt, t, t + dt])
+            s0, s1, s2 = stencil_states(u0, params, t, dt)
             uniform = replace(params, h=dt)
-            s0, s1, s2 = traj.states
             np.testing.assert_array_equal(s1.coef, step(s0, t - dt, uniform).coef)
             np.testing.assert_array_equal(s2.coef, step(s1, t, uniform).coef)
 
@@ -490,17 +482,34 @@ class TestDifferentialIdentity:
     def test_zero_trajectory_zero_residual(self):
         g = GridSpec(8)
         f = CoefSeq.zeros(g)
-        traj = self._stencil(CoefSeq.zeros(g), 1.0, f, 0.01, 1e-3)
+        states = self._stencil(CoefSeq.zeros(g), 1.0, f, 0.01, 1e-3)
         frame = NormalFormFrame.from_forcing(f, 1.0)
-        assert normal_form_residual(traj, frame, 0.01, 1e-3) == 0.0
+        assert normal_form_residual(states, frame, 0.01, 1e-3) == 0.0
 
-    def test_missing_samples_rejected(self):
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_stencil_of_other_than_three_states_rejected(self, count):
+        # the states are read by position: a stencil too short or too long
+        # is an error, not a silent shift of the times
         g = GridSpec(8)
         f = CoefSeq.cosine(g)
-        traj = self._stencil(CoefSeq.zeros(g), 1.0, f, 0.01, 1e-3)
+        states = evolve(CoefSeq.cosine(g), (count - 1) * 1e-3,
+                        FlowParams(gamma=1.0, forcing=f, h=1e-3)).states
+        assert len(states) == count
         frame = NormalFormFrame.from_forcing(f, 1.0)
-        with pytest.raises(KeyError):
-            normal_form_residual(traj, frame, 0.02, 1e-3)
+        with pytest.raises(ValueError):
+            normal_form_residual(states, frame, 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("K", [8, 24, 32, 64, 128, 2048])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 0.5, 2.5])
+    def test_twists_are_flow_multipliers(self, K, t):
+        """The frame's twist and the antiderivative's phase factor are
+        flow.linear_multiplier, bit for bit equal to their closed forms."""
+        g = GridSpec(K)
+        k = g.modes.astype(np.float64)
+        frame = NormalFormFrame(CoefSeq.cosine(g), 0.7)
+        np.testing.assert_array_equal(frame._twist(t), np.exp((0.7 - 1j * k**3) * t))
+        _, twist = _twisted_antiderivative(CoefSeq.cosine(g), t)
+        np.testing.assert_array_equal(twist, np.exp(1j * t * k**3))
 
 
 class TestSmoothingGap:
@@ -523,5 +532,5 @@ class TestSmoothingGap:
         f = CoefSeq.cosine(g)
         u0 = random_rough_state(g, 0.55, seed=7, target_l2=1.0)
         traj = evolve(u0, 0.5, FlowParams(gamma=0.5, forcing=f, h=1e-3), sample_every=100)
-        g05 = smoothing_gap(u0, traj.state_at(0.5), 0.5, 0.5, 0.5)
+        g05 = smoothing_gap(u0, traj.states[-1], 0.5, 0.5, 0.5)
         assert g05 > 0.0
