@@ -77,7 +77,6 @@ class RunConfig:
     """
 
     grid_k: int = 128
-    grid_p: int = 0
     gamma: float = 1.0
     forcing_profile: str = "cosine"  # cosine | random | zero
     forcing_amplitude: float = 1.0
@@ -121,9 +120,8 @@ class RunConfig:
         profiles = ("cosine", "random", "zero")
         for holds, key, rule in (
             (self.grid_k >= 1, "grid.k", "be >= 1"),
-            (self.grid_p == 0 or self.grid_p >= 3 * self.grid_k + 1, "grid.p",
-             "be 0 (automatic) or >= 3*grid.k+1"),
-            (self.gamma > 0, "gamma", "be positive"),
+            (self.gamma > 0 or (self.gamma == 0 and self.forcing_profile == "zero"), "gamma",
+             "be positive, or 0 with forcing.profile = zero"),
             (self.h >= 0, "h", "be positive (0 picks the default step)"),
             (self.scheme in SCHEMES, "scheme", f"be one of {'|'.join(SCHEMES)}"),
             (self.T > 0, "T", "be positive"),
@@ -136,8 +134,8 @@ class RunConfig:
             (self.forcing_target_l2 > 0, "forcing.target_l2", "be positive"),
             (self.init_target_l2 > 0, "init.target_l2", "be positive"),
             (all(x > 0 for x in self.ensemble_target_l2), "ensemble.target_l2", "all be positive"),
-            (self.s_values and all(s >= 0 for s in self.s_values), "s.values",
-             "be nonempty with every s >= 0"),
+            (len({f"{s:g}" for s in self.s_values}) == len(self.s_values) >= 1  # CSV names
+             and min(self.s_values) >= 0, "s.values", "be nonempty, >= 0 and distinct to 6 digits"),
             (len(set(self.ladder_k)) == len(self.ladder_k) and all(K >= 1 for K in self.ladder_k),
              "ladder.k", "hold distinct K >= 1"),
             (0 < self.restart_fraction < 1, "restart.fraction", "lie in (0, 1)"),
@@ -152,8 +150,9 @@ class RunConfig:
              and all(K >= 2 for K in self.constants_k),
              "constants.k", "hold at least two distinct K, every K >= 2"),
             (self.constants_trials >= 0, "constants.trials", "be >= 0"),
-            (self.constants_eps and all(0 < eps < EPS_LIMIT for eps in self.constants_eps),
-             "constants.eps", "be nonempty with every eps in (0, 1/22)"),
+            (self.constants_eps and len(set(self.constants_eps)) == len(self.constants_eps)
+             and all(0 < eps < EPS_LIMIT for eps in self.constants_eps),
+             "constants.eps", "be nonempty and distinct with every eps in (0, 1/22)"),
             (self.rho_trials >= 1, "rho.trials", "be >= 1"),
         ):
             if not holds:
@@ -161,7 +160,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must {rule}, got {value!r}")
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.grid_k, self.grid_p)
+        return GridSpec(self.grid_k)
 
     def step_size(self) -> float:
         return self.h if self.h > 0 else default_step(self.grid_k)
@@ -217,6 +216,11 @@ def initial_state_for(cfg: RunConfig, grid: GridSpec | None = None) -> CoefSeq:
         mode=cfg.init_mode, sigma=cfg.init_sigma, seed=cfg.init_seed,
         target_l2=cfg.init_target_l2, mode_key="init.mode",
     )
+
+
+def flow_params_for(cfg: RunConfig, grid: GridSpec | None = None, h: float = 0.0) -> FlowParams:
+    """The flow of every runner: cfg's gamma, forcing and scheme at step h (0: cfg's step)."""
+    return FlowParams(cfg.gamma, forcing_for(cfg, grid), h or cfg.step_size(), cfg.scheme)
 
 
 @dataclass
@@ -293,12 +297,11 @@ def run_energy_envelope(cfg: RunConfig) -> RunReport:
     of radius ||f||/gamma is invariant when the data starts inside it."""
     t0 = time.perf_counter()
     grid = cfg.grid()
-    f = forcing_for(cfg, grid)
+    params = flow_params_for(cfg, grid)
     u0 = initial_state_for(cfg, grid)
-    params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
     traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
 
-    u0_l2, f_l2 = u0.l2(), f.l2()
+    u0_l2, f_l2 = u0.l2(), params.forcing.l2()
     env = energy_envelope(traj.dense_times, u0_l2, f_l2, cfg.gamma)
     violation = float(np.max(traj.dense_l2 - env))
     report = RunReport("energy_envelope", cfg, trajectories={"trajectory": traj})
@@ -307,8 +310,7 @@ def run_energy_envelope(cfg: RunConfig) -> RunReport:
     report.measured["u0_l2"] = u0_l2
     report.measured["forcing_l2"] = f_l2
 
-    ball_radius = f_l2 / cfg.gamma
-    if f_l2 > 0 and u0_l2 <= ball_radius + 1e-12:
+    if f_l2 > 0 and u0_l2 <= (ball_radius := f_l2 / cfg.gamma) + 1e-12:
         ball_violation = float(np.max(traj.dense_l2) - ball_radius)
         report.check("ball_invariance_violation", ball_violation, ENVELOPE_TOL)
         report.measured["ball_radius"] = ball_radius
@@ -387,7 +389,7 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
     per_rung: dict[int, dict] = {}
     for K in ladder:
         grid = GridSpec(K)
-        f = forcing_for(cfg, grid)
+        params = flow_params_for(cfg, grid)
         u0 = initial_state_for(cfg, grid)
         if not u0.coef.any():
             # the verdicts divide by u0's H^s norms (and, unforced, by gaps of 0)
@@ -395,7 +397,6 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
                 f"init.profile = {cfg.init_profile!r} gives u0 = 0; the smoothing ladder "
                 "needs nonzero initial data, whose H^s norm grows along the ladder"
             )
-        params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj
 
@@ -442,13 +443,12 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
 
 
 def run_kdv_limit(cfg: RunConfig) -> RunReport:
-    """gamma = f = 0 sanity run: the l2 norm is a conserved quantity, so the
-    measured drift is pure time-integrator error."""
+    """gamma = f = 0 (the default config) sanity run: the l2 norm is conserved,
+    so the drift is pure time-integrator error; cfg's gamma and f are run as
+    given, and a nonzero one shows as drift."""
     t0 = time.perf_counter()
     grid = cfg.grid()
-    params = FlowParams(
-        gamma=0.0, forcing=CoefSeq.zeros(grid), h=cfg.step_size(), scheme=cfg.scheme
-    )
+    params = flow_params_for(cfg, grid)
     u0 = initial_state_for(cfg, grid)
     traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
     drift = float(np.max(np.abs(traj.dense_l2 - u0.l2())))
@@ -471,10 +471,11 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
         raise ConfigError("seeds and norms must pair up")
     if cfg.T * cfg.gamma < 10.0:
         raise HorizonError(
-            f"horizon T={cfg.T} too short relative to 1/gamma = {1 / cfg.gamma:.3g}"
+            f"horizon T={cfg.T} too short: T*gamma = {cfg.T * cfg.gamma:.3g} is below 10"
         )
     grid = cfg.grid()
-    f = forcing_for(cfg, grid)
+    params = flow_params_for(cfg, grid)
+    f = params.forcing
     s = cfg.s_values[0]
     radius_ball = 2.0 * f.l2() / cfg.gamma
     report = RunReport("attractor_probe", cfg)
@@ -483,7 +484,6 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
         for seed, target in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2)
     ]
     initial_hs = [sobolev_norm(u0, s) for u0 in members]
-    params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.step_size(), scheme=cfg.scheme)
     try:
         trajs = evolve_batch(members, cfg.T, params, sample_every=cfg.sample_stride)
     except StepFailureError as exc:
@@ -563,7 +563,7 @@ def default_attractor_config() -> RunConfig:
 
 def default_kdv_limit_config() -> RunConfig:
     return RunConfig(
-        grid_k=128, init_profile="cosine", init_amplitude=1.0,
+        grid_k=128, gamma=0.0, init_profile="cosine", init_amplitude=1.0,
         forcing_profile="zero", h=1e-3, T=10.0, sample_stride=1000,
     )
 
@@ -619,10 +619,9 @@ def run_normal_form_residual(cfg: RunConfig) -> RunReport:
 
     t0 = time.perf_counter()
     grid = cfg.grid()
-    f = forcing_for(cfg, grid)
+    params = flow_params_for(cfg, grid, h=cfg.nf_dt)
     u0 = initial_state_for(cfg, grid)
-    frame = NormalFormFrame.from_forcing(f, cfg.gamma)
-    params = FlowParams(gamma=cfg.gamma, forcing=f, h=cfg.nf_dt, scheme=cfg.scheme)
+    frame = NormalFormFrame.from_forcing(params.forcing, cfg.gamma)
     residuals = {}
     for dt in (cfg.nf_dt, cfg.nf_dt / 2.0):
         states = stencil_states(u0, params, cfg.nf_time, dt)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .normal_form import normal_form_bilinear
-from .spectral import CoefSeq, GridSpec, sobolev_norm
+from .normal_form import _full_spectrum, normal_form_bilinear
+from .spectral import CoefSeq, GridSpec, power_decay, sobolev_norm
 
 # int64 stays exact for the vectorized scans up to this radius.  Every
 # intermediate of the quartic scan is at most 30 R^3 in absolute value
@@ -25,8 +25,8 @@ from .spectral import CoefSeq, GridSpec, sobolev_norm
 # terms are at most 8 R^3.
 INT64_SAFE_RADIUS = 100_000
 
-# k2 rows per block of the quartic scan.  Blocks of 48 to 192 rows timed
-# alike; whole slices (2R + 1 int64 rows at R = 1000) took 16 s against 12 s.
+# Rows per block of the exhaustive scans (k1 rows; k2 rows of a quartic slice).
+# 48 to 192 timed alike; whole quartic slices (2R + 1 rows, R = 1000) took 16 s, not 12 s.
 _SCAN_ROWS = 128
 
 EPS_LIMIT = 1.0 / 22.0  # the exponent bookkeeping needs 1/2 - 11*eps > 0
@@ -75,20 +75,22 @@ def quartic_phase(k1: int, k2: int, k3: int) -> int:
 
 
 def verify_cubic_phase_exhaustive(radius: int) -> int:
-    """Check the cubic identity for every pair |k1|,|k2| <= radius; returns
-    the number of pairs checked."""
+    """Check the cubic identity for every pair |k1|,|k2| <= radius, _SCAN_ROWS
+    k1 rows at a time; returns the number of pairs checked."""
     if radius > INT64_SAFE_RADIUS:
         raise ValueError(
             f"radius {radius} exceeds the int64-exact range; use the sampled check"
         )
     k = np.arange(-radius, radius + 1, dtype=np.int64)
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    lhs = 3 * (K1 + K2) * K1 * K2
-    rhs = (K1 + K2) ** 3 - K1**3 - K2**3
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise AssertionError(f"cubic phase identity failed at {tuple(k[bad])}")
-    return int(K1.size)
+    for r0 in range(0, k.size, _SCAN_ROWS):
+        k1 = k[r0 : r0 + _SCAN_ROWS]
+        s12 = np.add.outer(k1, k)  # k1 + k2
+        lhs = 3 * s12 * k1[:, None] * k
+        rhs = s12**3 - k1[:, None] ** 3 - k**3
+        if not np.array_equal(lhs, rhs):
+            i, j = np.argwhere(lhs != rhs)[0]
+            raise AssertionError(f"cubic phase identity failed at ({k1[i]}, {k[j]})")
+    return k.size**2
 
 
 def verify_quartic_phase_exhaustive(radius: int) -> int:
@@ -230,10 +232,8 @@ def smoothing_multiplier_sup(budget: LatticeBudget):
 def _random_hermitian(grid: GridSpec, rng: np.random.Generator) -> CoefSeq:
     decay = rng.uniform(0.0, 1.5)
     z = rng.normal(size=(grid.K, 2))
-    half = np.zeros(grid.K + 1, dtype=np.complex128)
-    # scalar powers: numpy's array power can differ from them in the last bit
-    half[1:] = (z[:, 0] + 1j * z[:, 1]) * np.array([k**-decay for k in range(1, grid.K + 1)])
-    return CoefSeq(grid, half)
+    u = (z[:, 0] + 1j * z[:, 1]) * power_decay(grid.K, decay)
+    return CoefSeq(grid, np.concatenate(([0.0], u)))
 
 
 def _bilinear_ratio(u: CoefSeq, v: CoefSeq, s: float) -> float:
@@ -253,7 +253,7 @@ def _bilinear_matrix(v: CoefSeq, s: float) -> np.ndarray:
     """
     K = v.grid.K
     # v_m at index m + K, m = -K..2K
-    full = np.concatenate((np.conj(v.coef[:0:-1]), v.coef, np.zeros(K)))
+    full = np.concatenate((_full_spectrum(v.coef), np.zeros(K)))
     k = np.arange(1, K + 1)
     d = k[:, None] - k[None, :]
     a = full[K + d] / (6.0 * k * np.where(d == 0, 1, d))  # v_0 = 0 on the diagonal

@@ -35,22 +35,19 @@ def next_alias_free_size(min_size: int) -> int:
 @dataclass(frozen=True)
 class GridSpec:
     """Spectral truncation: modes |k| <= K, stored as k = 0..K, and the
-    physical sample count P.
+    physical sample count P, the smallest 5-smooth size >= 3K + 1.
 
     P >= 3K + 1 makes quadratic products exact truncations of the full
     convolution (no aliasing back into |k| <= K).
     """
 
     K: int
-    P: int = 0
+    P: int = field(init=False)
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.P == 0:
-            object.__setattr__(self, "P", next_alias_free_size(3 * self.K + 1))
-        if self.P < 3 * self.K + 1:
-            raise ValueError(f"P={self.P} violates P >= 3K+1 = {3 * self.K + 1}")
+        object.__setattr__(self, "P", next_alias_free_size(3 * self.K + 1))
 
     @property
     def modes(self) -> np.ndarray:
@@ -161,6 +158,12 @@ def product_half(
     return np.fft.rfft(prod, norm="forward", out=spec)[..., : grid.K + 1]
 
 
+def power_decay(K: int, exponent: float) -> np.ndarray:
+    """k^-exponent for k = 1..K, as scalar powers (numpy's array power can
+    differ from them in the last bit): the amplitude law of random fields."""
+    return np.array([k**-exponent for k in range(1, K + 1)])
+
+
 def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float) -> CoefSeq:
     """Random real mean-zero field with |u_k| ~ |k|^{-sigma}, rescaled to target_l2.
 
@@ -174,9 +177,6 @@ def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float
     if target_l2 <= 0:
         raise ValueError(f"target_l2 must be positive, got {target_l2}")
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=grid.K)
-    half = np.zeros(grid.K + 1, dtype=np.complex128)
-    # scalar powers: numpy's array power can differ from them in the last bit
-    decay = np.array([k**-sigma for k in range(1, grid.K + 1)])
-    half[1:] = decay * np.exp(1j * phases)
-    raw = CoefSeq(grid, half)
+    half = power_decay(grid.K, sigma) * np.exp(1j * phases)  # k = 1..K
+    raw = CoefSeq(grid, np.concatenate(([0.0], half)))
     return raw.with_coef(raw.coef * (target_l2 / raw.l2()))

@@ -122,11 +122,32 @@ class TestDispatch:
         assert code == EXIT_OK
         report = read_report_json(tmp_path / "report_kdv_limit.json")
         assert report["content"]["passed"] is True
+        # the report records the gamma the run used
+        assert report["content"]["config"]["gamma"] == 0
         # gamma = f = 0: the envelope is the conserved norm ||u0|| on every row
         rows = [line.split(",") for line in
                 (tmp_path / "trajectory.csv").read_text().strip().split("\n")[1:]]
         assert len(rows) > 1
         assert all(row[2] == rows[0][1] for row in rows)
+
+    def test_kdv_limit_runs_the_configured_gamma(self, tmp_path):
+        code = run_cli(
+            "kdv-limit", "--out", str(tmp_path), "--quiet",
+            "--set", "grid.k=32", "--set", "T=1.0", "--set", "gamma=0.5",
+        )
+        assert code == EXIT_ASSERTION  # damping is no conservation
+        content = read_report_json(tmp_path / "report_kdv_limit.json")["content"]
+        assert content["config"]["gamma"] == 0.5
+        assert [v["passed"] for v in content["verdicts"]] == [False]
+
+    def test_envelope_in_the_undamped_unforced_limit(self, tmp_path):
+        code = run_cli(
+            "envelope", "--out", str(tmp_path), "--quiet", *SMALL,
+            "--set", "gamma=0", "--set", "forcing.profile=zero",
+        )
+        assert code == EXIT_OK
+        # no forcing, no absorbing ball
+        assert not (tmp_path / "report_absorbing_ball.json").exists()
 
     def test_envelope_writes_both_reports(self, tmp_path):
         code = run_cli(
@@ -168,9 +189,10 @@ class TestDispatch:
     @pytest.mark.parametrize("command, override", [
         ("envelope", "gamma=0"),
         ("attractor", "gamma=0"),
-        ("kdv-limit", "gamma=0"),
+        ("kdv-limit", "gamma=0 forcing.profile=cosine"),
         ("simulate", "scheme=rk4"),
         ("simulate", "grid.p=5"),
+        ("simulate", "grid.p=400"),  # P follows from grid.k; there is no grid.p
         ("simulate", "h=-1"),
         ("attractor", "s.values=[]"),
         ("smoothing", "s.values=[]"),
@@ -210,6 +232,11 @@ class TestDispatch:
         ("verify-identities", "identities.radius=2.5"),
         ("estimate-constants", "constants.k=[8,16.5]"),
         ("simulate", "s.values=0.5"),
+        # a repeated value would repeat a CSV column or a verdict
+        ("simulate", "s.values=[0.5,0.5]"),
+        ("simulate", "s.values=[0.5,0.5000001]"),  # both name the column hs_gap_s0.5
+        ("smoothing", "s.values=[0.5,0.9,0.5]"),
+        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.01,0.01]"),
         ("verify-identities", "nf.time=null"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):

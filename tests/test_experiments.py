@@ -49,6 +49,12 @@ class TestRunConfig:
         assert a.hash() != b.hash()
         assert a.hash() == RunConfig(gamma=1.0).hash()
 
+    def test_undamped_limit_needs_zero_forcing(self):
+        assert RunConfig(gamma=0.0, forcing_profile="zero").gamma == 0.0
+        for bad in ({"gamma": 0.0}, {"gamma": -1.0, "forcing.profile": "zero"}):
+            with pytest.raises(ConfigError, match="gamma must be positive, or 0 with forcing"):
+                RunConfig.from_mapping(bad)
+
     def test_default_step_rule(self):
         assert RunConfig(grid_k=128).step_size() == pytest.approx(1e-3)
         assert RunConfig(grid_k=1000).step_size() == pytest.approx(5e-4)
@@ -195,11 +201,21 @@ class TestKdvLimit:
         assert r.measured["max_conservation_drift"] < 1e-10
 
     def test_zero_data_exact(self):
-        r = run_kdv_limit(RunConfig(grid_k=16, init_profile="zero", T=0.5, h=1e-3))
+        r = run_kdv_limit(RunConfig(grid_k=16, gamma=0.0, forcing_profile="zero",
+                                    init_profile="zero", T=0.5, h=1e-3))
         assert r.measured["max_conservation_drift"] == 0.0
 
+    def test_configured_damping_is_run(self):
+        # the runner integrates the gamma its report records: damping shows as drift
+        cfg = replace(default_kdv_limit_config(), T=1.0, grid_k=32, gamma=0.5)
+        r = run_kdv_limit(cfg)
+        assert not r.passed
+        u0_l2 = 0.5 * np.sqrt(2.0)  # cos x
+        assert r.measured["max_conservation_drift"] == pytest.approx(u0_l2 * (1 - np.exp(-0.5)))
+
     def test_halving_h_reduces_drift(self):
-        base = RunConfig(grid_k=32, init_profile="cosine", forcing_profile="zero", T=2.0)
+        base = RunConfig(grid_k=32, gamma=0.0, init_profile="cosine", forcing_profile="zero",
+                         T=2.0)
         coarse = run_kdv_limit(replace(base, h=8e-3))
         fine = run_kdv_limit(replace(base, h=4e-3))
         assert fine.measured["max_conservation_drift"] < coarse.measured["max_conservation_drift"]
@@ -233,6 +249,11 @@ class TestAttractorProbe:
     def test_short_horizon_rejected(self):
         with pytest.raises(HorizonError):
             run_attractor_probe(replace(default_attractor_config(), T=5.0))
+
+    def test_undamped_limit_is_a_horizon_diagnostic(self):
+        cfg = replace(default_attractor_config(), gamma=0.0, forcing_profile="zero")
+        with pytest.raises(HorizonError, match=r"T\*gamma = 0 is below 10"):
+            run_attractor_probe(cfg)
 
     def test_unforced_ensemble_decays_to_zero_radius(self):
         cfg = RunConfig(

@@ -60,6 +60,28 @@ class TestCubicPhase:
     def test_exhaustive_small_radius(self):
         assert verify_cubic_phase_exhaustive(100) == 201**2
 
+    def test_planted_mismatch_names_its_pair(self, monkeypatch):
+        # bump k1 + k2, and so both sides of the identity, at one (k1, k2)
+        # cell; row 130 lies in the second block of k1 rows
+        radius, i, j = 150, 130, 200
+        k1, k2 = -radius + i, -radius + j
+
+        class Numpy:  # numpy, with one sum k1 + k2 off by one
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            class add:
+                @staticmethod
+                def outer(a, b):
+                    out = np.add.outer(a, b)
+                    out[a == k1, j] += 1
+                    return out
+
+        monkeypatch.setattr(lattice, "np", Numpy())
+        message = f"cubic phase identity failed at ({k1}, {k2})"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            verify_cubic_phase_exhaustive(radius)
+
     def test_sampled_wide_integers(self):
         assert verify_cubic_phase_sampled(10**6, trials=500, seed=1) == 500
 

@@ -81,12 +81,11 @@ class TestGridSpec:
         for K in (1, 8, 64, 128, 256):
             g = GridSpec(K)
             assert g.P >= 3 * K + 1
+            assert g.P == next_alias_free_size(3 * K + 1)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             GridSpec(0)
-        with pytest.raises(ValueError):
-            GridSpec(8, P=24)
 
     def test_next_alias_free_size(self):
         assert next_alias_free_size(193) == 200
