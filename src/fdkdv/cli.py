@@ -1,8 +1,8 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/JSON
 serialization, and emission of gnuplot scripts.
 
-Exit codes: 0 all assertions passed, 1 assertion failure (including horizon
-diagnostics), 2 configuration error, 3 solver failure.
+Exit codes: 0 all assertions passed, 1 assertion failure (a too-short
+horizon fails its horizon_sufficient verdict), 2 config error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 from .experiments import (
     DEFAULT_ENVELOPE_SUITE,
     ConfigError,
-    HorizonError,
     RunConfig,
     RunReport,
     default_attractor_config,
@@ -203,20 +202,6 @@ def _emit(report: RunReport, out: Path, label: str | None = None) -> None:
     write_report_json(report, out / f"report_{label or report.experiment}.json")
 
 
-def _horizon_checked(experiment: str, cfg: RunConfig, run, *args) -> RunReport:
-    """run(*args), or the failed-verdict report of experiment when its horizon
-    was too short; keeps the 'report always written' contract for diagnostic
-    failures."""
-    try:
-        return run(*args)
-    except HorizonError as exc:
-        print(f"horizon diagnostic: {exc}", file=sys.stderr)
-        report = RunReport(experiment, cfg)
-        report.check("horizon_sufficient", 1.0, 0.0)  # fails by construction
-        report.measured["diagnostic"] = str(exc)
-        return report
-
-
 def _single(run):
     """Command that runs one experiment on the config and writes its report."""
     def command(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
@@ -231,10 +216,9 @@ def cmd_envelope(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
     _emit(envelope, out)
     if envelope.measured["forcing_l2"] == 0:
         return [envelope]
-    ball = _horizon_checked("absorbing_ball", cfg, run_absorbing_ball, envelope)
-    if ball.trajectories:  # a horizon failure judged no trajectory
-        # the verdict judges the trajectory just written: copy its bytes
-        shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
+    ball = run_absorbing_ball(envelope)
+    # the verdict judges the trajectory just written: copy its bytes
+    shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
     write_report_json(ball, out / "report_absorbing_ball.json")
     return [envelope, ball]
 
@@ -264,8 +248,7 @@ COMMANDS = {
                            _single(lambda cfg: run_constant_estimates(cfg))),
     "smoothing": (default_smoothing_config(), _single(lambda cfg: run_smoothing_ladder(cfg))),
     "envelope": (DEFAULT_ENVELOPE_SUITE[2], cmd_envelope),
-    "attractor": (default_attractor_config(), _single(
-        lambda cfg: _horizon_checked("attractor_probe", cfg, run_attractor_probe, cfg))),
+    "attractor": (default_attractor_config(), _single(lambda cfg: run_attractor_probe(cfg))),
     "kdv-limit": (default_kdv_limit_config(), _single(lambda cfg: run_kdv_limit(cfg))),
 }
 
@@ -307,6 +290,9 @@ def parse_and_dispatch(argv) -> int:
     except StepFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    for r in reports:
+        if "diagnostic" in r.measured:
+            print(f"horizon diagnostic: {r.measured['diagnostic']}", file=sys.stderr)
     try:
         emit_plot_script(out)
     except MissingArtifactsError:

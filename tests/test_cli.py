@@ -26,6 +26,15 @@ from fdkdv.spectral import CoefSeq, GridSpec
 SMALL = ["--set", "grid.k=16", "--set", "T=1.0", "--set", "init.sigma=2.5"]
 
 
+# Preconditions of one command that depend on the config alone, so RunConfig
+# rejects them before the output directory is made
+CONFIG_ONLY_PRECONDITIONS = [
+    ("attractor", "ensemble.seeds=[1,2,3]"),
+    ("attractor", "ensemble.target_l2=[1,1,2,3]"),
+    ("smoothing", "ladder.k=[16,32]"),
+]
+
+
 def run_cli(*argv):
     return parse_and_dispatch(list(argv))
 
@@ -109,10 +118,17 @@ class TestDispatch:
             "--set", "init.target_l2=4.0", "--set", "init.sigma=2.5",
         )
         assert code == EXIT_ASSERTION
-        assert "horizon" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "horizon diagnostic: horizon T=0.01 too short: trajectory has not settled "
+            "under 2||f||/gamma = 1.41421\n"
+        )
         # the report is still written, carrying the failed verdict
         report = read_report_json(tmp_path / "report_absorbing_ball.json")
         assert report["content"]["passed"] is False
+        assert [v["name"] for v in report["content"]["verdicts"]] == ["horizon_sufficient"]
+        # and the trajectory it judged is there, as on a pass
+        absorbing = (tmp_path / "absorbing.csv").read_bytes()
+        assert absorbing == (tmp_path / "trajectory.csv").read_bytes()
 
     def test_kdv_limit_small(self, tmp_path):
         code = run_cli(
@@ -238,6 +254,7 @@ class TestDispatch:
         ("smoothing", "s.values=[0.5,0.9,0.5]"),
         ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.01,0.01]"),
         ("verify-identities", "nf.time=null"),
+        *CONFIG_ONLY_PRECONDITIONS,
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
         # override holds one or more settings; the last one is out of range
@@ -245,6 +262,12 @@ class TestDispatch:
         code = run_cli(command, "--out", str(tmp_path), "--quiet", *settings)
         assert code == EXIT_CONFIG
         assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", CONFIG_ONLY_PRECONDITIONS)
+    def test_config_error_makes_no_output_directory(self, tmp_path, command, override):
+        out = tmp_path / "run"
+        assert run_cli(command, "--out", str(out), "--quiet", "--set", override) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_restart_at_the_last_sample_exits_config(self, tmp_path, capsys):
         # the restart sample is the last one, so the restarted gap would be 0/0
