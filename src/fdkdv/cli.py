@@ -1,8 +1,10 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/JSON
-serialization, and emission of gnuplot scripts.
+serialization, and emission of gnuplot scripts.  Commands only compute;
+one writer makes the output directory and every artifact afterwards.
 
 Exit codes: 0 all assertions passed, 1 assertion failure (a too-short
-horizon fails its horizon_sufficient verdict), 2 config error, 3 solver failure.
+horizon fails its horizon_sufficient verdict), 2 config error, 3 solver
+failure; a run exiting 2 or 3 writes nothing.
 """
 
 from __future__ import annotations
@@ -184,72 +186,72 @@ def _read_overrides(args) -> dict:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, checked (a file at it or above it exits 2) but not made."""
     if args.out is not None:
-        root = Path(args.out)
+        out = Path(args.out)
     else:
-        root = Path(os.environ.get(OUT_ROOT_ENV, "runs")) / time.strftime("%Y%m%d-%H%M%S")
+        out = Path(os.environ.get(OUT_ROOT_ENV, "runs")) / time.strftime("%Y%m%d-%H%M%S")
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not existing.is_dir():
+        raise ConfigError(f"cannot make output directory {out}: {existing} is not a directory")
+    return out
+
+
+def _write(reports: list[RunReport], out: Path) -> None:
+    """Make out, then write each trajectory to {key}.csv (a repeat is a byte copy), each
+    report to report_{experiment}.json (_1, _2, ... if repeated), and plots.gp if a CSV was."""
     try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at root or on the way to it
-        raise ConfigError(f"cannot make output directory {root}: {exc.strerror}") from exc
-    return root
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    written = {}  # (trajectory id, s values) -> its CSV
+    experiments = [r.experiment for r in reports]
+    for i, report in enumerate(reports):
+        for name, traj in report.trajectories.items():
+            path, key = out / f"{name}.csv", (id(traj), report.config.s_values)
+            if key in written:
+                shutil.copyfile(written[key], path)
+            else:
+                write_trajectory_csv(traj, path, s_values=report.config.s_values)
+                written[key] = path
+        label = report.experiment
+        if experiments.count(label) > 1:
+            label += f"_{experiments[:i + 1].count(label)}"
+        write_report_json(report, out / f"report_{label}.json")
+    if written:
+        emit_plot_script(out)
 
 
-def _emit(report: RunReport, out: Path, label: str | None = None) -> None:
-    """Write each of the report's trajectories to {key}.csv, and its JSON."""
-    for name, traj in report.trajectories.items():
-        write_trajectory_csv(traj, out / f"{name}.csv", s_values=report.config.s_values)
-    write_report_json(report, out / f"report_{label or report.experiment}.json")
-
-
-def _single(run):
-    """Command that runs one experiment on the config and writes its report."""
-    def command(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
-        report = run(cfg)
-        _emit(report, out)
-        return [report]
-    return command
-
-
-def cmd_envelope(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
+def cmd_envelope(cfg: RunConfig, overrides: dict) -> list[RunReport]:
     envelope = run_energy_envelope(cfg)
-    _emit(envelope, out)
-    if envelope.measured["forcing_l2"] == 0:
-        return [envelope]
-    ball = run_absorbing_ball(envelope)
-    # the verdict judges the trajectory just written: copy its bytes
-    shutil.copyfile(out / "trajectory.csv", out / "absorbing.csv")
-    write_report_json(ball, out / "report_absorbing_ball.json")
-    return [envelope, ball]
+    forced = envelope.measured["forcing_l2"] > 0
+    return [envelope, run_absorbing_ball(envelope)] if forced else [envelope]
 
 
-def cmd_verify_identities(cfg: RunConfig, overrides: dict, out: Path) -> list[RunReport]:
+def cmd_verify_identities(cfg: RunConfig, overrides: dict) -> list[RunReport]:
     """Identity checks on cfg, then the three residual configs with exactly
     the user's nf.* overrides applied to each."""
-    reports = [run_identity_checks(cfg)]
-    _emit(reports[0], out)
     nf = {key: value for key, value in overrides.items() if key.startswith("nf.")}
-    for i, residual_cfg in enumerate(default_residual_configs(), start=1):
-        report = run_normal_form_residual(RunConfig.from_mapping(residual_cfg.to_mapping() | nf))
-        reports.append(report)
-        _emit(report, out, label=f"normal_form_residual_{i}")
-    return reports
+    return [run_identity_checks(cfg)] + [
+        run_normal_form_residual(RunConfig.from_mapping(residual_cfg.to_mapping() | nf))
+        for residual_cfg in default_residual_configs()
+    ]
 
 
-# name -> (default config, command).  A command takes the validated config,
-# the user's overrides and the output directory, writes its artifacts and
-# returns its reports.  Runners are looked up by name when a command runs, so
-# wrappers patched onto this module's run_* names (bench/tracing.py) see them.
+# name -> (default config, command).  A command maps the validated config and
+# the user's overrides to its reports.  Runners are looked up by name when a
+# command runs, so wrappers patched onto this module's run_* names
+# (bench/tracing.py) see them.
 COMMANDS = {
     "simulate": (RunConfig(grid_k=64, T=5.0, init_sigma=2.5),
-                 _single(lambda cfg: run_energy_envelope(cfg))),
+                 lambda cfg, _: [run_energy_envelope(cfg)]),
     "verify-identities": (RunConfig(), cmd_verify_identities),
     "estimate-constants": (RunConfig(s_values=(0.5, 0.9), rho_trials=2000),
-                           _single(lambda cfg: run_constant_estimates(cfg))),
-    "smoothing": (default_smoothing_config(), _single(lambda cfg: run_smoothing_ladder(cfg))),
+                           lambda cfg, _: [run_constant_estimates(cfg)]),
+    "smoothing": (default_smoothing_config(), lambda cfg, _: [run_smoothing_ladder(cfg)]),
     "envelope": (DEFAULT_ENVELOPE_SUITE[2], cmd_envelope),
-    "attractor": (default_attractor_config(), _single(lambda cfg: run_attractor_probe(cfg))),
-    "kdv-limit": (default_kdv_limit_config(), _single(lambda cfg: run_kdv_limit(cfg))),
+    "attractor": (default_attractor_config(), lambda cfg, _: [run_attractor_probe(cfg)]),
+    "kdv-limit": (default_kdv_limit_config(), lambda cfg, _: [run_kdv_limit(cfg)]),
 }
 
 
@@ -283,7 +285,8 @@ def parse_and_dispatch(argv) -> int:
         overrides = _read_overrides(args)
         cfg = RunConfig.from_mapping(default.to_mapping() | overrides)
         out = _out_dir(args)
-        reports = command(cfg, overrides, out)
+        reports = command(cfg, overrides)
+        _write(reports, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -293,10 +296,6 @@ def parse_and_dispatch(argv) -> int:
     for r in reports:
         if "diagnostic" in r.measured:
             print(f"horizon diagnostic: {r.measured['diagnostic']}", file=sys.stderr)
-    try:
-        emit_plot_script(out)
-    except MissingArtifactsError:
-        pass  # report-only runs have nothing to plot
     ok = all(r.passed for r in reports)
     if not args.quiet:
         for r in reports:

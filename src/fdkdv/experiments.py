@@ -297,11 +297,14 @@ def _timed(report: RunReport, t0: float) -> RunReport:
     return report
 
 
-def _horizon_failure(experiment: str, cfg: RunConfig, t0: float, diagnostic: str) -> RunReport:
+def _horizon_failure(
+    experiment: str, cfg: RunConfig, t0: float, diagnostic: str, **trajectories: TrajectoryRecord
+) -> RunReport:
     """The report of a run whose horizon was too short to measure its claim:
     a diagnostic, not a theory violation, so one verdict that fails by
-    construction and the reason in measured["diagnostic"]."""
-    report = RunReport(experiment, cfg)
+    construction and the reason in measured["diagnostic"], with the
+    trajectories it judged."""
+    report = RunReport(experiment, cfg, trajectories=trajectories)
     report.check("horizon_sufficient", 1.0, 0.0)
     report.measured["diagnostic"] = diagnostic
     return _timed(report, t0)
@@ -344,7 +347,8 @@ def predicted_absorption_time(u0_l2: float, f_l2: float, gamma: float) -> float:
 def run_absorbing_ball(envelope: RunReport) -> RunReport:
     """Judge the trajectory of an energy-envelope run, without integrating:
     measure the first time after which its norm stays below 2||f||/gamma and
-    compare against the envelope prediction."""
+    compare against the envelope prediction.  The report names that
+    trajectory "absorbing", whether the verdict passes or fails."""
     t0 = time.perf_counter()
     if envelope.experiment != "energy_envelope":
         raise ConfigError(f"absorbing ball reads energy_envelope reports, not {envelope.experiment!r}")
@@ -358,9 +362,9 @@ def run_absorbing_ball(envelope: RunReport) -> RunReport:
         return _horizon_failure("absorbing_ball", cfg, t0, (
             f"horizon T={cfg.T} too short: trajectory has not settled under "
             f"2||f||/gamma = {radius:.6g}"
-        ))
+        ), absorbing=traj)
     t_pred = predicted_absorption_time(traj.l2_norms[0], traj.forcing_l2, cfg.gamma)
-    report = RunReport("absorbing_ball", cfg, trajectories={"trajectory": traj})
+    report = RunReport("absorbing_ball", cfg, trajectories={"absorbing": traj})
     report.check("absorption_time", t_star, t_pred + cfg.step_size())
     report.measured.update(
         {
@@ -404,11 +408,13 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         grid = GridSpec(K)
         params = flow_params_for(cfg, grid)
         u0 = initial_state_for(cfg, grid)
-        if not u0.coef.any():
-            # the verdicts divide by u0's H^s norms (and, unforced, by gaps of 0)
+        u0_hs = {s: sobolev_norm(u0, s) for s in cfg.s_values}
+        if not all(u0_hs.values()):
+            # zero data, or data so small that its H^s norms underflow
             raise ConfigError(
-                f"init.profile = {cfg.init_profile!r} gives u0 = 0; the smoothing ladder "
-                "needs nonzero initial data, whose H^s norm grows along the ladder"
+                f"init.profile = {cfg.init_profile!r} (init.target_l2 = {cfg.init_target_l2:g}) "
+                f"gives u0 an H^s norm of 0 at K = {K}; the smoothing ladder divides by "
+                "u0's H^s norms, which must be nonzero and grow along the ladder"
             )
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj
@@ -422,7 +428,7 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
                 "lower restart.fraction or sample.stride"
             )
         u_restart = traj.states[i0]
-        rung = {"u0_hs": {}, "gap_sup": {}, "restart_gap_sup": {}}
+        rung = {"u0_hs": u0_hs, "gap_sup": {}, "restart_gap_sup": {}}
         samples = list(zip(traj.times, traj.states))
         for s in cfg.s_values:
             gaps = [smoothing_gap(u0, u, float(t), cfg.gamma, s) for t, u in samples]
@@ -430,7 +436,6 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
                 smoothing_gap(u_restart, u, float(t - traj.times[i0]), cfg.gamma, s)
                 for t, u in samples[i0:]
             ]
-            rung["u0_hs"][s] = sobolev_norm(u0, s)
             rung["gap_sup"][s] = float(np.max(gaps))
             rung["restart_gap_sup"][s] = float(np.max(restart))
         per_rung[K] = rung
@@ -441,6 +446,13 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
     }
     top, mid = ladder[-1], ladder[-2]
     for s in cfg.s_values:
+        if not (per_rung[mid]["gap_sup"][s] and per_rung[mid]["restart_gap_sup"][s]):
+            # the nonlinear remainder of tiny unforced data underflows
+            raise ConfigError(
+                f"the K = {mid} rung's H^{s:g} gap sup or restart gap sup is 0, and the "
+                f"gap-ratio verdicts divide by them; raise init.target_l2 = "
+                f"{cfg.init_target_l2:g} or add forcing"
+            )
         gap_ratio = per_rung[top]["gap_sup"][s] / per_rung[mid]["gap_sup"][s]
         restart_ratio = (
             per_rung[top]["restart_gap_sup"][s] / per_rung[mid]["restart_gap_sup"][s]

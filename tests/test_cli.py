@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from fdkdv.cli import (
     EXIT_OK,
     MissingArtifactsError,
     emit_plot_script,
+    main,
     parse_and_dispatch,
     read_report_json,
     report_to_json_dict,
@@ -26,9 +28,66 @@ from fdkdv.spectral import CoefSeq, GridSpec
 SMALL = ["--set", "grid.k=16", "--set", "T=1.0", "--set", "init.sigma=2.5"]
 
 
-# Preconditions of one command that depend on the config alone, so RunConfig
-# rejects them before the output directory is made
-CONFIG_ONLY_PRECONDITIONS = [
+# Overrides that exit 2 naming their last key, with or without --out existing;
+# each holds one or more settings, the last one out of range
+BAD_CONFIG_VALUES = [
+    ("envelope", "gamma=0"),
+    ("attractor", "gamma=0"),
+    ("kdv-limit", "gamma=0 forcing.profile=cosine"),
+    ("simulate", "scheme=rk4"),
+    ("simulate", "grid.p=5"),
+    ("simulate", "grid.p=400"),  # P follows from grid.k; there is no grid.p
+    ("simulate", "h=-1"),
+    ("attractor", "s.values=[]"),
+    ("smoothing", "s.values=[]"),
+    ("smoothing", "ladder.k=[64,64,64]"),
+    ("envelope", "forcing.mode=0"),
+    ("envelope", "forcing.mode=500"),
+    ("simulate", "forcing.mode=-1"),
+    ("kdv-limit", "init.mode=500"),
+    ("estimate-constants", "s.values=[0.5,1.0]"),
+    ("smoothing", "restart.fraction=2"),
+    ("smoothing", "restart.fraction=-3"),
+    ("attractor", "attractor.window=-1"),
+    ("attractor", "attractor.window=1.5"),
+    ("simulate", "init.sigma=0.3"),
+    ("simulate", "init.target_l2=-1"),
+    ("simulate", "forcing.profile=random forcing.sigma=0.4"),
+    ("attractor", "T=10 gamma=1.0 grid.k=16 ensemble.target_l2=[0.5,1,2,-4]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.5]"),
+    ("estimate-constants", "rho.trials=1 constants.k=[0,8,16]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[]"),
+    ("estimate-constants", "constants.trials=1 rho.trials=0"),
+    ("estimate-constants", "constants.trials=1 rho.trials=-3"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8,16]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[1,2]"),
+    # the smoothing ladder's ratio verdicts divide by u0's H^s norms and by the
+    # middle rung's gap sups: 0 for zero data, and underflowing for tiny data
+    ("smoothing", "T=0.5 ladder.k=[16,32,64] sample.stride=200 forcing.profile=zero "
+                  "init.profile=zero"),
+    ("smoothing", "init.amplitude=0 init.profile=cosine"),
+    ("smoothing", "T=0.2 ladder.k=[2,4,8] sample.stride=20 init.target_l2=2.2e-313"),
+    ("smoothing", "T=0.2 ladder.k=[2,4,8] sample.stride=20 forcing.profile=zero "
+                  "init.target_l2=1e-200"),
+    ("smoothing", "T=0.2 ladder.k=[2,4,8] sample.stride=20 forcing.profile=zero "
+                  "init.target_l2=1e-150"),
+    ("verify-identities", "identities.radius=200000"),
+    ("verify-identities", "identities.radius=10 identities.k=0"),
+    ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
+    # a value of the wrong type is named like one out of range
+    ("kdv-limit", "grid.k=1.5"),
+    ("simulate", "T=true"),
+    ("verify-identities", "identities.radius=2.5"),
+    ("estimate-constants", "constants.k=[8,16.5]"),
+    ("simulate", "s.values=0.5"),
+    # a repeated value would repeat a CSV column or a verdict
+    ("simulate", "s.values=[0.5,0.5]"),
+    ("simulate", "s.values=[0.5,0.5000001]"),  # both name the column hs_gap_s0.5
+    ("smoothing", "s.values=[0.5,0.9,0.5]"),
+    ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.01,0.01]"),
+    ("verify-identities", "nf.time=null"),
     ("attractor", "ensemble.seeds=[1,2,3]"),
     ("attractor", "ensemble.target_l2=[1,1,2,3]"),
     ("smoothing", "ladder.k=[16,32]"),
@@ -39,6 +98,10 @@ def run_cli(*argv):
     return parse_and_dispatch(list(argv))
 
 
+def as_settings(override):
+    return [arg for text in override.split() for arg in ("--set", text)]
+
+
 class TestDispatch:
     def test_simulate_small_run(self, tmp_path):
         code = run_cli("simulate", "--out", str(tmp_path), "--quiet", *SMALL)
@@ -46,6 +109,31 @@ class TestDispatch:
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "report_energy_envelope.json").exists()
         assert (tmp_path / "plots.gp").exists()
+
+    def test_default_output_root(self, tmp_path, monkeypatch):
+        # without --out, a run writes to one stamped directory under the root
+        monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "runs"))
+        assert run_cli("simulate", "--quiet", *SMALL) == EXIT_OK
+        (stamped,) = (tmp_path / "runs").iterdir()
+        assert sorted(p.name for p in stamped.iterdir()) == [
+            "plots.gp", "report_energy_envelope.json", "trajectory.csv"
+        ]
+        # and a run that exits 2 makes none
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "empty"))
+        assert run_cli("simulate", "--quiet", "--set", "h=-1") == EXIT_CONFIG
+        assert list((tmp_path / "empty").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--quiet", *SMALL],
+        ["simulate", "--quiet", "--set", "h=-1"],
+    ], ids=["pass", "config-error"])
+    def test_main_exits_with_the_dispatch_code(self, tmp_path, monkeypatch, argv):
+        argv = [*argv, "--out", str(tmp_path / "run")]
+        monkeypatch.setattr(sys, "argv", ["fdkdv", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == run_cli(*argv)
 
     def test_missing_subcommand_is_config_error(self):
         assert run_cli() == EXIT_CONFIG
@@ -202,92 +290,42 @@ class TestDispatch:
         absorbing = (tmp_path / "absorbing.csv").read_bytes()
         assert absorbing == (tmp_path / "trajectory.csv").read_bytes()
 
-    @pytest.mark.parametrize("command, override", [
-        ("envelope", "gamma=0"),
-        ("attractor", "gamma=0"),
-        ("kdv-limit", "gamma=0 forcing.profile=cosine"),
-        ("simulate", "scheme=rk4"),
-        ("simulate", "grid.p=5"),
-        ("simulate", "grid.p=400"),  # P follows from grid.k; there is no grid.p
-        ("simulate", "h=-1"),
-        ("attractor", "s.values=[]"),
-        ("smoothing", "s.values=[]"),
-        ("smoothing", "ladder.k=[64,64,64]"),
-        ("envelope", "forcing.mode=0"),
-        ("envelope", "forcing.mode=500"),
-        ("simulate", "forcing.mode=-1"),
-        ("kdv-limit", "init.mode=500"),
-        ("estimate-constants", "s.values=[0.5,1.0]"),
-        ("smoothing", "restart.fraction=2"),
-        ("smoothing", "restart.fraction=-3"),
-        ("attractor", "attractor.window=-1"),
-        ("attractor", "attractor.window=1.5"),
-        ("simulate", "init.sigma=0.3"),
-        ("simulate", "init.target_l2=-1"),
-        ("simulate", "forcing.profile=random forcing.sigma=0.4"),
-        ("attractor", "T=10 gamma=1.0 grid.k=16 ensemble.target_l2=[0.5,1,2,-4]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.5]"),
-        ("estimate-constants", "rho.trials=1 constants.k=[0,8,16]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[]"),
-        ("estimate-constants", "constants.trials=1 rho.trials=0"),
-        ("estimate-constants", "constants.trials=1 rho.trials=-3"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[8,8,16]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.k=[1,2]"),
-        # the smoothing ladder's ratio verdicts divide by u0's H^s norms
-        ("smoothing", "T=0.5 ladder.k=[16,32,64] sample.stride=200 forcing.profile=zero "
-                      "init.profile=zero"),
-        ("smoothing", "init.amplitude=0 init.profile=cosine"),
-        ("verify-identities", "identities.radius=200000"),
-        ("verify-identities", "identities.radius=10 identities.k=0"),
-        ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
-        # a value of the wrong type is named like one out of range
-        ("kdv-limit", "grid.k=1.5"),
-        ("simulate", "T=true"),
-        ("verify-identities", "identities.radius=2.5"),
-        ("estimate-constants", "constants.k=[8,16.5]"),
-        ("simulate", "s.values=0.5"),
-        # a repeated value would repeat a CSV column or a verdict
-        ("simulate", "s.values=[0.5,0.5]"),
-        ("simulate", "s.values=[0.5,0.5000001]"),  # both name the column hs_gap_s0.5
-        ("smoothing", "s.values=[0.5,0.9,0.5]"),
-        ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.01,0.01]"),
-        ("verify-identities", "nf.time=null"),
-        *CONFIG_ONLY_PRECONDITIONS,
-    ])
+    @pytest.mark.parametrize("command, override", BAD_CONFIG_VALUES)
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
-        # override holds one or more settings; the last one is out of range
-        settings = [arg for text in override.split() for arg in ("--set", text)]
-        code = run_cli(command, "--out", str(tmp_path), "--quiet", *settings)
+        code = run_cli(command, "--out", str(tmp_path), "--quiet", *as_settings(override))
         assert code == EXIT_CONFIG
         assert override.split()[-1].split("=")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, override", CONFIG_ONLY_PRECONDITIONS)
+    @pytest.mark.parametrize("command, override", BAD_CONFIG_VALUES)
     def test_config_error_makes_no_output_directory(self, tmp_path, command, override):
         out = tmp_path / "run"
-        assert run_cli(command, "--out", str(out), "--quiet", "--set", override) == EXIT_CONFIG
+        assert run_cli(command, "--out", str(out), "--quiet", *as_settings(override)) == EXIT_CONFIG
         assert not out.exists()
 
     def test_restart_at_the_last_sample_exits_config(self, tmp_path, capsys):
-        # the restart sample is the last one, so the restarted gap would be 0/0
+        # the restart sample is the last one, so the restarted gap would be 0/0;
+        # the ladder has run by then, and still nothing is written
+        out = tmp_path / "run"
         code = run_cli(
-            "smoothing", "--out", str(tmp_path), "--quiet", "--set", "T=0.5",
+            "smoothing", "--out", str(out), "--quiet", "--set", "T=0.5",
             "--set", "ladder.k=[16,32,64]", "--set", "sample.stride=200",
             "--set", "restart.fraction=0.99",
         )
         assert code == EXIT_CONFIG
         assert "restart.fraction" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_prints_only_the_solver_line(self, tmp_path, capsys):
         # the blow-up's overflow raises no numpy warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli("simulate", "--out", str(tmp_path), "--quiet", "--set", "h=0.05")
+            code = run_cli("simulate", "--out", str(tmp_path / "run"), "--quiet",
+                           "--set", "h=0.05")
         assert code == 3
         assert capsys.readouterr().err == (
             "solver failure: non-finite state at t = 0.85; reduce the step size\n"
         )
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_code(self, tmp_path, capsys):

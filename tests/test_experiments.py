@@ -27,14 +27,15 @@ from fdkdv.flow import FlowParams, StepFailureError, evolve
 from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state
 
 
-def assert_horizon_failure(report, diagnostic):
-    """A horizon too short to measure is one failed verdict, not an error."""
+def assert_horizon_failure(report, diagnostic, trajectories=()):
+    """A horizon too short to measure is one failed verdict, not an error;
+    the report keeps the trajectories it judged."""
     assert not report.passed
     assert [c.as_dict() for c in report.checks] == [
         {"name": "horizon_sufficient", "passed": False, "measured": 1.0, "tolerance": 0.0}
     ]
     assert report.measured == {"diagnostic": diagnostic}
-    assert report.trajectories == {}
+    assert tuple(report.trajectories) == trajectories
 
 
 class TestRunConfig:
@@ -157,7 +158,7 @@ class TestAbsorbingBall:
         r = run_absorbing_ball(run_energy_envelope(cfg))
         assert_horizon_failure(
             r, "horizon T=0.01 too short: trajectory has not settled under "
-               "2||f||/gamma = 2.82843"
+               "2||f||/gamma = 2.82843", ("absorbing",)
         )
 
 
@@ -362,7 +363,7 @@ class TestEnvelopeSuite:
         assert all(r.passed for r in reports)
         # one integration per config: the absorbing ball judges the envelope run
         assert len(calls) == 2
-        assert reports[2].trajectories["trajectory"] is reports[0].trajectories["trajectory"]
+        assert reports[2].trajectories["absorbing"] is reports[0].trajectories["trajectory"]
 
 
 class TestResidualConfigs:
