@@ -10,6 +10,8 @@ failure; a run exiting 2 or 3 writes nothing.
 from __future__ import annotations
 
 import argparse
+import fnmatch
+import itertools
 import json
 import os
 import shutil
@@ -111,8 +113,9 @@ class MissingArtifactsError(FileNotFoundError):
     pass
 
 
-def emit_plot_script(report_dir) -> Path:
-    """Write plots.gp next to the CSVs this tool produced.
+def emit_plot_script(report_dir, names) -> Path:
+    """Write plots.gp in report_dir for the CSVs there named in names, the
+    ones a run just wrote (a reused directory's older CSVs stay out).
 
     One figure per artifact group found: norm-vs-envelope overlay, one gap
     curve per smoothing rung, one radius band per ensemble member.  The
@@ -122,9 +125,9 @@ def emit_plot_script(report_dir) -> Path:
     blocks = []
     for pattern, figure, title, curves in PLOT_GROUPS:
         plots = ", \\\n     ".join(
-            f"'{p.name}' using 1:{column} with lines "
-            f"title '{curve or p.stem.split('_', 1)[1]}'"
-            for p in sorted(report_dir.glob(pattern))
+            f"'{name}' using 1:{column} with lines "
+            f"title '{curve or Path(name).stem.split('_', 1)[1]}'"
+            for name in sorted(fnmatch.filter(names, pattern))
             for column, curve in curves
         )
         if plots:
@@ -197,14 +200,28 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write(reports: list[RunReport], out: Path) -> None:
-    """Make out, then write each trajectory to {key}.csv (a repeat is a byte copy), each
-    report to report_{experiment}.json (_1, _2, ... if repeated), and plots.gp if a CSV was."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+def _make_dir(out: Path, stamped: bool) -> Path:
+    """Make out and return it.  A stamped default directory is made exclusively,
+    so a run never writes into another's: if out exists, out-2, out-3, ... is
+    made instead.  An explicit --out may be reused."""
+    for n in itertools.count(1):
+        path = out if n == 1 else out.with_name(f"{out.name}-{n}")
+        try:
+            path.mkdir(parents=True, exist_ok=not stamped)
+            return path
+        except OSError as exc:
+            if not (stamped and isinstance(exc, FileExistsError)):
+                raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+
+
+def _write(reports: list[RunReport], out: Path, stamped: bool) -> Path:
+    """Make the output directory (_make_dir), write each trajectory to {key}.csv
+    (a repeat is a byte copy), each report to report_{experiment}.json (_1, _2,
+    ... if repeated) and plots.gp for these CSVs if there are any; return the
+    directory."""
+    out = _make_dir(out, stamped)
     written = {}  # (trajectory id, s values) -> its CSV
+    names = []  # every CSV written, copies included
     experiments = [r.experiment for r in reports]
     for i, report in enumerate(reports):
         for name, traj in report.trajectories.items():
@@ -214,12 +231,14 @@ def _write(reports: list[RunReport], out: Path) -> None:
             else:
                 write_trajectory_csv(traj, path, s_values=report.config.s_values)
                 written[key] = path
+            names.append(path.name)
         label = report.experiment
         if experiments.count(label) > 1:
             label += f"_{experiments[:i + 1].count(label)}"
         write_report_json(report, out / f"report_{label}.json")
-    if written:
-        emit_plot_script(out)
+    if names:
+        emit_plot_script(out, names)
+    return out
 
 
 def cmd_envelope(cfg: RunConfig, overrides: dict) -> list[RunReport]:
@@ -286,7 +305,7 @@ def parse_and_dispatch(argv) -> int:
         cfg = RunConfig.from_mapping(default.to_mapping() | overrides)
         out = _out_dir(args)
         reports = command(cfg, overrides)
-        _write(reports, out)
+        out = _write(reports, out, stamped=args.out is None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

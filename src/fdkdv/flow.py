@@ -17,8 +17,11 @@ The stepper works on the stored half spectra k = 0..K of
 (gamma, f, h, scheme) is an array of shape (M, K+1) stepped together.  The
 quadratic term is the package's one product kernel,
 :func:`~fdkdv.spectral.product_half`, on the state twice (one inverse
-transform, squared, one transform).  A single run is a batch of one, and
-each member of a batch is bit-identical to its solo run.
+transform, squared, one transform).  It calls numpy's pocketfft transforms
+directly: at these sizes the ``np.fft`` wrappers' argument handling costs
+about as much as a transform, and the results are the wrappers' bit for
+bit.  A single run is a batch of one, and each member of a batch is
+bit-identical to its solo run.
 
 The stages allocate nothing.  The kernel for one (params, h, M)
 owns its work arrays: a physical buffer (M, P) and a spectrum (M, P//2+1)

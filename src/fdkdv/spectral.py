@@ -9,7 +9,12 @@ are sequence norms over both signs of k: ||u||^2 = sum_{k != 0} |u_k|^2.
 One product kernel, :func:`product_half`, multiplies real fields given by
 their half spectra through real transforms.  The flow's quadratic term and
 the normal-form operators (whose twisted operands are real fields too) use
-it.
+it.  It calls numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``,
+shipped with numpy >= 2.0) directly, bound once below, because at a few
+hundred points the Python wrapper of an ``np.fft`` call costs about as much
+as the transform.  Its results are those of ``np.fft.irfft``/``np.fft.rfft``
+with ``norm="forward"`` bit for bit; ``tests/test_spectral.py`` pins that,
+so a numpy release that changes the gufuncs fails the suite.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
+
+# The transforms np.fft.irfft and np.fft.rfft (even and odd lengths) end in.
+_irfft, _rfft_even, _rfft_odd = _pocketfft.irfft, _pocketfft.rfft_n_even, _pocketfft.rfft_n_odd
 
 
 def next_alias_free_size(min_size: int) -> int:
@@ -139,8 +148,8 @@ def product_half(
     spec: np.ndarray | None = None,
 ) -> np.ndarray:
     """(u v)_k for k = 0..K, where u and v are the real fields whose
-    coefficients k = 0..K' (K' <= K) are the last axes of a and b; leading
-    axes are a batch.
+    coefficients k = 0..K' (K' <= K) are the last axes of a and b; their
+    leading axes, the same for both, are a batch.
 
     Zero padding to P >= 3K+1 makes the result the exact truncation of u*v
     (to roundoff) in O(P log P), through real transforms of the real fields.
@@ -150,12 +159,24 @@ def product_half(
     phys (real, shape (..., P)) and spec (complex, shape (..., P//2+1)) are
     optional work arrays for a caller that multiplies many times: the
     transforms and the product are written into them, with the same
-    operations as without them, and the result is then a view of spec.
+    operations as without them; the result is a view of spec.  Without
+    them the kernel allocates its own.
+
+    The transforms are the pocketfft gufuncs that np.fft wraps, called with
+    the factors np.fft passes for norm="forward" (1 to the inverse, 1/P to
+    the forward transform), so the result equals
+    rfft(irfft(a, n=P) * irfft(b, n=P))[..., :K+1] (norm="forward") bit for
+    bit while skipping the wrapper's per-call argument handling.
     """
-    pa = np.fft.irfft(a, n=grid.P, norm="forward", out=phys)
-    pb = pa if b is a else np.fft.irfft(b, n=grid.P, norm="forward")
-    prod = np.multiply(pa, pb, out=phys)
-    return np.fft.rfft(prod, norm="forward", out=spec)[..., : grid.K + 1]
+    P = grid.P
+    if phys is None:
+        phys = np.empty(a.shape[:-1] + (P,))
+    if spec is None:
+        spec = np.empty(a.shape[:-1] + (P // 2 + 1,), dtype=np.complex128)
+    pa = _irfft(a, 1.0, out=phys)
+    pb = pa if b is a else _irfft(b, 1.0, out=np.empty(b.shape[:-1] + (P,)))
+    rfft = _rfft_even if P % 2 == 0 else _rfft_odd
+    return rfft(np.multiply(pa, pb, out=phys), 1.0 / P, out=spec)[..., : grid.K + 1]
 
 
 def power_decay(K: int, exponent: float) -> np.ndarray:

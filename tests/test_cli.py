@@ -3,6 +3,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,8 @@ from fdkdv.flow import FlowParams, evolve
 from fdkdv.spectral import CoefSeq, GridSpec
 
 SMALL = ["--set", "grid.k=16", "--set", "T=1.0", "--set", "init.sigma=2.5"]
+SMALL_ATTRACTOR = ["--set", "T=10", "--set", "gamma=1.0", "--set", "grid.k=16",
+                   "--set", "h=0.002", "--set", "sample.stride=500"]
 
 
 # Overrides that exit 2 naming their last key, with or without --out existing;
@@ -123,6 +126,22 @@ class TestDispatch:
         monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "empty"))
         assert run_cli("simulate", "--quiet", "--set", "h=-1") == EXIT_CONFIG
         assert list((tmp_path / "empty").iterdir()) == []
+
+    def test_runs_in_one_second_get_their_own_directories(self, tmp_path, monkeypatch, capsys):
+        # the default directory is stamped to the second; a second run with the
+        # same stamp must not write into the first one's directory
+        monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "runs"))
+        monkeypatch.setattr(fdkdv.cli, "time", SimpleNamespace(strftime=lambda fmt: "20260101-000000"))
+        assert run_cli("simulate", *SMALL) == EXIT_OK
+        assert run_cli("kdv-limit", "--set", "grid.k=16", "--set", "T=0.1") == EXIT_OK
+        first, second = (tmp_path / "runs" / name for name in ("20260101-000000", "20260101-000000-2"))
+        assert sorted((tmp_path / "runs").iterdir()) == [first, second]
+        assert sorted(p.name for p in first.iterdir()) == [
+            "plots.gp", "report_energy_envelope.json", "trajectory.csv"
+        ]
+        assert "report_kdv_limit.json" in [p.name for p in second.iterdir()]
+        out = capsys.readouterr().out
+        assert f"artifacts in {first}\n" in out and f"artifacts in {second}\n" in out
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--quiet", *SMALL],
@@ -403,8 +422,7 @@ class TestDispatch:
     @pytest.mark.parametrize("argv, runners", [
         (["simulate", *SMALL], ["run_energy_envelope"]),
         (["envelope", *SMALL], ["run_energy_envelope", "run_absorbing_ball"]),
-        (["attractor", "--set", "T=10", "--set", "gamma=1.0", "--set", "grid.k=16",
-          "--set", "h=0.002", "--set", "sample.stride=500"], ["run_attractor_probe"]),
+        (["attractor", *SMALL_ATTRACTOR], ["run_attractor_probe"]),
     ])
     def test_commands_call_runners_through_cli_names(self, tmp_path, monkeypatch, argv, runners):
         # bench/tracing.py times the experiments by patching these names
@@ -497,29 +515,42 @@ class TestReportJson:
 
 
 class TestPlotScript:
+    @staticmethod
+    def _write_csvs(directory, stems):
+        """Write a small trajectory CSV per stem; return the file names, as the
+        writer passes them to emit_plot_script."""
+        traj = TestTrajectoryCsv()._traj(2)
+        for stem in stems:
+            write_trajectory_csv(traj, directory / f"{stem}.csv")
+        return [f"{stem}.csv" for stem in stems]
+
     def test_empty_directory_names_expected_files(self, tmp_path):
         with pytest.raises(MissingArtifactsError, match="trajectory.csv"):
-            emit_plot_script(tmp_path)
+            emit_plot_script(tmp_path, [])
 
     def test_envelope_block(self, tmp_path):
-        write_trajectory_csv(TestTrajectoryCsv()._traj(2), tmp_path / "trajectory.csv")
-        script = emit_plot_script(tmp_path).read_text()
+        names = self._write_csvs(tmp_path, ["trajectory"])
+        script = emit_plot_script(tmp_path, names).read_text()
         assert "envelope.svg" in script
         assert "'trajectory.csv'" in script  # relative reference
 
     def test_smoothing_block_one_curve_per_rung(self, tmp_path):
-        traj = TestTrajectoryCsv()._traj(2)
-        for K in (16, 32, 64):
-            write_trajectory_csv(traj, tmp_path / f"smoothing_K{K}.csv")
-        script = emit_plot_script(tmp_path).read_text()
+        names = self._write_csvs(tmp_path, [f"smoothing_K{K}" for K in (16, 32, 64)])
+        script = emit_plot_script(tmp_path, names).read_text()
         assert script.count("smoothing_K") == 3
 
+    def test_reused_out_plots_only_this_runs_csvs(self, tmp_path):
+        assert run_cli("simulate", "--out", str(tmp_path), "--quiet", *SMALL) == EXIT_OK
+        assert run_cli("attractor", "--out", str(tmp_path), "--quiet", *SMALL_ATTRACTOR) == EXIT_OK
+        script = (tmp_path / "plots.gp").read_text()
+        assert (tmp_path / "trajectory.csv").exists()  # the first run's, left in place
+        assert "trajectory.csv" not in script
+        assert "attractor_seed" in script
+
     def test_script_text_is_pinned(self, tmp_path):
-        traj = TestTrajectoryCsv()._traj(2)
-        for name in ("trajectory", "smoothing_K16", "smoothing_K32",
-                     "attractor_seed11", "attractor_seed12"):
-            write_trajectory_csv(traj, tmp_path / f"{name}.csv")
-        assert emit_plot_script(tmp_path).read_text() == (
+        names = self._write_csvs(tmp_path, ["trajectory", "smoothing_K16", "smoothing_K32",
+                                            "attractor_seed11", "attractor_seed12"])
+        assert emit_plot_script(tmp_path, names).read_text() == (
             "# generated plotting script; run with: gnuplot plots.gp\n"
             "set datafile separator ','\n"
             "set key autotitle columnhead\n"
@@ -547,11 +578,8 @@ class TestPlotScript:
     def test_script_consumes_csvs_without_edits(self, tmp_path):
         """Structural smoke: every CSV the script references exists, and the
         column indices it plots are inside each CSV's header."""
-        traj = TestTrajectoryCsv()._traj(2)
-        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-        for seed in (11, 12):
-            write_trajectory_csv(traj, tmp_path / f"attractor_seed{seed}.csv")
-        script = emit_plot_script(tmp_path).read_text()
+        names = self._write_csvs(tmp_path, ["trajectory", "attractor_seed11", "attractor_seed12"])
+        script = emit_plot_script(tmp_path, names).read_text()
         for fname, col1, col2 in re.findall(r"'([\w.]+\.csv)' using (\d+):(\d+)", script):
             csv = tmp_path / fname
             assert csv.exists()

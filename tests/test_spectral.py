@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fdkdv.flow import FlowParams, evolve, evolve_batch
+from fdkdv.normal_form import nonresonant_cubic, normal_form_bilinear
 from fdkdv.spectral import (
     CoefSeq,
     GridSpec,
@@ -194,6 +196,51 @@ class TestHalfSpectrum:
         assert got.shape == (3, K + 1)
         for row, x, y in zip(got, a, b):
             assert np.max(np.abs(row - product_oracle(x, y, K))) < 1e-13
+
+
+class TestDirectTransforms:
+    """product_half calls numpy's pocketfft gufuncs directly; it must match the
+    np.fft expression it replaces bit for bit, and the package's hot paths
+    must not reach the np.fft wrappers at all."""
+
+    @staticmethod
+    def np_fft_product(a, b, grid):
+        pa = np.fft.irfft(a, n=grid.P, norm="forward")
+        pb = pa if b is a else np.fft.irfft(b, n=grid.P, norm="forward")
+        return np.fft.rfft(pa * pb, norm="forward")[..., : grid.K + 1]
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["row", "batch"])
+    @pytest.mark.parametrize("K", [1, 2, 8, 33, 64, 128])
+    def test_bit_identical_to_np_fft(self, K, batch):
+        rng = np.random.default_rng(K)
+        a, b = (rng.normal(size=batch + (K + 1,)) + 1j * rng.normal(size=batch + (K + 1,))
+                for _ in range(2))
+        # the operands fill the grid, or only its low half as on the
+        # cubic's 2K grid; P is odd for K = 8 (25) and on the 2K grid of K = 2 (15)
+        for grid in (GridSpec(K), GridSpec(2 * K)):
+            for x, y in ((a, a), (a, b)):
+                expected = self.np_fft_product(x, y, grid)
+                assert np.array_equal(product_half(x, y, grid), expected)
+                phys = np.full(batch + (grid.P,), np.nan)
+                spec = np.full(batch + (grid.P // 2 + 1,), np.nan, dtype=np.complex128)
+                got = product_half(x, y, grid, phys=phys, spec=spec)
+                assert np.shares_memory(got, spec)
+                assert np.array_equal(got, expected)
+
+    def test_hot_paths_skip_the_np_fft_wrappers(self, monkeypatch):
+        def wrapper(*args, **kwargs):
+            raise AssertionError("np.fft wrapper reached")
+
+        for name in ("irfft", "rfft"):
+            monkeypatch.setattr(np.fft, name, wrapper)
+        g = GridSpec(16)
+        u, v = random_field(g, seed=40), random_field(g, seed=41)
+        for scheme in ("ifrk4", "etdrk4"):
+            params = FlowParams(gamma=1.0, forcing=CoefSeq.cosine(g), h=1e-2, scheme=scheme)
+            evolve(u, 0.05, params)
+            evolve_batch((u, v), 0.05, params)
+        normal_form_bilinear(u, v, t=0.3)
+        nonresonant_cubic(u, t=0.3)
 
 
 class TestRandomRoughState:
