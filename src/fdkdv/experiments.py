@@ -46,6 +46,8 @@ CONSERVATION_TOL = 1e-8
 LADDER_GAP_GROWTH = 1.05
 LADDER_NORM_GROWTH = 1.3
 ATTRACTOR_SPREAD = 1.10
+RESTART_FRACTION = 0.5  # A4 restarts at the sample nearest T/2
+ATTRACTOR_WINDOW = 0.25  # A9 judges the last quarter after settling
 RESIDUAL_TOL = 1e-5
 RESIDUAL_HALVING = (3.0, 5.0)  # "about 4x" when dt halves
 IDENTITY_RESIDUAL_TOL = 1e-12
@@ -97,12 +99,9 @@ class RunConfig:
     s_values: tuple[float, ...] = (0.5,)
     sample_stride: int = 20
     ladder_k: tuple[int, ...] = (64, 128, 256)
-    restart_fraction: float = 0.5
     nf_time: float = 0.5
     nf_dt: float = 2e-5
     ensemble_seeds: tuple[int, ...] = (11, 12, 13, 14)
-    ensemble_target_l2: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    attractor_window: float = 0.25
     identities_radius: int = 1000
     identities_k: int = 64
     constants_trials: int = 150
@@ -134,17 +133,16 @@ class RunConfig:
             (self.init_sigma > 0.5, "init.sigma", "exceed 1/2"),
             (self.forcing_target_l2 > 0, "forcing.target_l2", "be positive"),
             (self.init_target_l2 > 0, "init.target_l2", "be positive"),
-            (len(set(self.ensemble_seeds)) == len(self.ensemble_seeds) >= 4, "ensemble.seeds",
-             "hold at least 4 distinct seeds"),
-            (len(set(self.ensemble_target_l2)) == len(self.ensemble_target_l2)
-             == len(self.ensemble_seeds) and all(x > 0 for x in self.ensemble_target_l2),
-             "ensemble.target_l2", "hold one distinct positive norm per seed"),
+            # numpy's generators take no negative seed
+            (self.forcing_seed >= 0, "forcing.seed", "be >= 0"),
+            (self.init_seed >= 0, "init.seed", "be >= 0"),
+            (len(set(self.ensemble_seeds)) == len(self.ensemble_seeds) >= 4
+             and min(self.ensemble_seeds) >= 0, "ensemble.seeds",
+             "hold at least 4 distinct seeds, every seed >= 0"),
             (len({f"{s:g}" for s in self.s_values}) == len(self.s_values) >= 1  # CSV names
              and min(self.s_values) >= 0, "s.values", "be nonempty, >= 0 and distinct to 6 digits"),
             (len(set(self.ladder_k)) == len(self.ladder_k) >= 3
              and all(K >= 1 for K in self.ladder_k), "ladder.k", "hold at least 3 distinct K >= 1"),
-            (0 < self.restart_fraction < 1, "restart.fraction", "lie in (0, 1)"),
-            (0 < self.attractor_window <= 1, "attractor.window", "lie in (0, 1]"),
             (0 < self.nf_dt < self.nf_time, "nf.dt", f"lie in (0, nf.time = {self.nf_time})"),
             (1 <= self.identities_radius <= INT64_SAFE_RADIUS, "identities.radius",
              f"lie in 1..{INT64_SAFE_RADIUS}"),
@@ -398,7 +396,9 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
     passes when the top-rung gap ratio stays under 1.05 while the initial
     data's H^s norm grows by at least 1.3x per doubling (geometric mean),
     i.e. the gap stays bounded on a family unbounded in H^s.  A restarted
-    variant measures the same gap from u(T0) onward.
+    variant measures the same gap from the sample nearest RESTART_FRACTION * T
+    = T/2 onward.  That is never the last sample, at T: every earlier sample
+    lies at least as near T/2, and argmin takes the first of a tie.
     """
     t0 = time.perf_counter()
     ladder = tuple(sorted(cfg.ladder_k))
@@ -419,14 +419,7 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj
 
-        t_restart = cfg.restart_fraction * cfg.T
-        i0 = int(np.argmin(np.abs(traj.times - t_restart)))
-        if i0 == traj.times.size - 1:
-            raise ConfigError(
-                f"restart.fraction = {cfg.restart_fraction} restarts at the last sample "
-                f"t = {traj.times[i0]:.6g}, which leaves no later sample to measure; "
-                "lower restart.fraction or sample.stride"
-            )
+        i0 = int(np.argmin(np.abs(traj.times - RESTART_FRACTION * cfg.T)))
         u_restart = traj.states[i0]
         rung = {"u0_hs": u0_hs, "gap_sup": {}, "restart_gap_sup": {}}
         samples = list(zip(traj.times, traj.states))
@@ -486,7 +479,13 @@ def run_kdv_limit(cfg: RunConfig) -> RunReport:
 def run_attractor_probe(cfg: RunConfig) -> RunReport:
     """Ensemble probe of the attracting ball: late-time H^s radii must agree
     across members with very different initial-data norms (the radius
-    depends on s, gamma, ||f|| but not on ||u0||)."""
+    depends on s, gamma, ||f|| but not on ||u0||).
+
+    Member i of M starts at ||u0|| = 0.5 * 2^(3i / (M - 1)), geometric over
+    0.5..4 ((0.5, 1, 2, 4) for four seeds); its radius is the sup of the H^s
+    norm over the last ATTRACTOR_WINDOW (quarter) of the time after it settles
+    into the ball of radius 2||f||/gamma.
+    """
     t0 = time.perf_counter()
     if cfg.T * cfg.gamma < 10.0:
         return _horizon_failure("attractor_probe", cfg, t0, (
@@ -498,9 +497,11 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
     s = cfg.s_values[0]
     radius_ball = 2.0 * f.l2() / cfg.gamma
     report = RunReport("attractor_probe", cfg)
+    m = len(cfg.ensemble_seeds)
+    targets = [0.5 * 2.0 ** (3 * i / (m - 1)) for i in range(m)]
     members = [
         random_rough_state(grid, cfg.init_sigma, seed=seed, target_l2=target)
-        for seed, target in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2)
+        for seed, target in zip(cfg.ensemble_seeds, targets)
     ]
     initial_hs = [sobolev_norm(u0, s) for u0 in members]
     try:
@@ -509,7 +510,7 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
         seed = cfg.ensemble_seeds[exc.member]
         raise StepFailureError(exc.time, exc.member, f"member seed={seed}") from exc
     radii = {}
-    for seed, target, traj in zip(cfg.ensemble_seeds, cfg.ensemble_target_l2, trajs):
+    for seed, target, traj in zip(cfg.ensemble_seeds, targets, trajs):
         report.trajectories[f"attractor_seed{seed}"] = traj
         if f.l2() > 0:
             t_star = first_containment_time(traj, radius_ball)
@@ -518,7 +519,7 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
                                         f"member seed={seed} never settled into the ball")
         else:
             t_star = 0.0  # unforced: everything decays, no absorbing transient
-        window_start = t_star + (1.0 - cfg.attractor_window) * (cfg.T - t_star)
+        window_start = t_star + (1.0 - ATTRACTOR_WINDOW) * (cfg.T - t_star)
         sel = traj.times >= window_start
         if not sel.any():
             return _horizon_failure("attractor_probe", cfg, t0,

@@ -71,9 +71,6 @@ class NormalFormFrame:
     def to_z(self, u: CoefSeq, t: float) -> CoefSeq:
         return u.with_coef((u.coef - self.v.coef) * self._twist(t))
 
-    def from_z(self, z: CoefSeq, t: float) -> CoefSeq:
-        return z.with_coef(z.coef / self._twist(t) + self.v.coef)
-
 
 def _twisted_antiderivative(u: CoefSeq, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(q, e^{i t k^3}) on k = 0..K, with q_k = u_k e^{i t k^3} / (i k) and

@@ -240,7 +240,7 @@ class TestAttractorProbe:
         cfg = RunConfig(
             grid_k=32, gamma=0.5, forcing_amplitude=1.0, init_sigma=1.2,
             h=1e-3, scheme="etdrk4", T=25.0, s_values=(0.5,), sample_stride=100,
-            ensemble_seeds=(11, 12, 13, 14), ensemble_target_l2=(0.5, 1.0, 2.0, 3.0),
+            ensemble_seeds=(11, 12, 13, 14),
         )
         r = run_attractor_probe(cfg)
         assert r.passed
@@ -250,14 +250,7 @@ class TestAttractorProbe:
     def test_too_few_seeds_rejected(self):
         with pytest.raises(ConfigError):
             run_attractor_probe(
-                replace(default_attractor_config(), ensemble_seeds=(1, 2, 3),
-                        ensemble_target_l2=(1.0, 2.0, 3.0))
-            )
-
-    def test_duplicate_norms_rejected(self):
-        with pytest.raises(ConfigError):
-            run_attractor_probe(
-                replace(default_attractor_config(), ensemble_target_l2=(1.0, 1.0, 2.0, 3.0))
+                replace(default_attractor_config(), ensemble_seeds=(1, 2, 3))
             )
 
     def test_short_horizon_rejected(self):
@@ -275,12 +268,37 @@ class TestAttractorProbe:
         cfg = RunConfig(
             grid_k=32, gamma=0.5, forcing_profile="zero", init_sigma=1.2,
             h=1e-3, scheme="etdrk4", T=25.0, s_values=(0.5,), sample_stride=200,
-            ensemble_seeds=(11, 12, 13, 14), ensemble_target_l2=(0.5, 1.0, 2.0, 3.0),
+            ensemble_seeds=(11, 12, 13, 14),
         )
         r = run_attractor_probe(cfg)
         assert r.passed
         assert r.measured["radius_decay_factor"] < 1e-2
         assert max(r.measured["late_time_radii"].values()) < 0.05
+
+
+class TestAttractorMemberNorms:
+    # member i of M starts at ||u0|| = 0.5 * 2^(3i / (M - 1)): geometric over 0.5..4
+    @staticmethod
+    def start_norms(seeds):
+        cfg = RunConfig(grid_k=16, gamma=1.0, h=0.002, scheme="etdrk4", T=10.0,
+                        sample_stride=500, ensemble_seeds=seeds)
+        r = run_attractor_probe(cfg)
+        assert r.passed
+        return r, [r.trajectories[f"attractor_seed{seed}"].l2_norms[0] for seed in seeds]
+
+    def test_four_seeds_start_at_half_one_two_four(self):
+        r, norms = self.start_norms((11, 12, 13, 14))
+        assert list(r.measured["late_time_radii"]) == [
+            "seed11_l20.5", "seed12_l21.0", "seed13_l22.0", "seed14_l24.0"
+        ]
+        assert norms == pytest.approx([0.5, 1.0, 2.0, 4.0], rel=1e-12)
+
+    def test_five_seeds_span_half_to_four(self):
+        r, norms = self.start_norms((21, 22, 23, 24, 25))
+        targets = [float(key.split("_l2")[1]) for key in r.measured["late_time_radii"]]
+        assert targets[0] == 0.5 and targets[-1] == 4.0
+        assert np.diff(np.log2(targets)) == pytest.approx([0.75] * 4, rel=1e-12)
+        assert norms == pytest.approx(targets, rel=1e-12)
 
 
 class TestUnresolvedStep:
@@ -318,7 +336,6 @@ class TestAttractorGammaTrend:
                 grid_k=32, gamma=gamma, forcing_amplitude=1.0, init_sigma=1.2,
                 h=1e-3, scheme="etdrk4", T=max(25.0, 10.0 / gamma), s_values=(0.5,),
                 sample_stride=100, ensemble_seeds=(11, 12, 13, 14),
-                ensemble_target_l2=(0.5, 1.0, 2.0, 3.0),
             )
             r = run_attractor_probe(cfg)
             assert r.passed

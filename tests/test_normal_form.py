@@ -137,12 +137,6 @@ class TestNormalFormFrame:
         z = frame.to_z(frame.v, 1.3)
         assert np.max(np.abs(z.coef)) == 0.0
 
-    def test_round_trip(self):
-        frame, g = self.frame()
-        u = hermitian_state(g, seed=3)
-        back = frame.from_z(frame.to_z(u, 2.7), 2.7)
-        assert np.max(np.abs(back.coef - u.coef)) < 1e-12
-
     def test_y_modulus_grows_like_exp_gamma_t(self):
         frame, g = self.frame(gamma=0.8)
         t = 1.9
