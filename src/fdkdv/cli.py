@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/JSON
-serialization, and emission of gnuplot scripts.  Commands only compute;
-one writer makes the output directory and every artifact afterwards.
+serialization, and emission of gnuplot scripts.  Each command accepts only
+the config keys its experiments read; commands only compute, and one writer
+makes the output directory and every artifact afterwards.
 
 Exit codes: 0 all assertions passed, 1 assertion failure (a too-short
 horizon fails its horizon_sufficient verdict), 2 config error, 3 solver
@@ -20,6 +21,7 @@ import time
 from pathlib import Path
 
 from .experiments import (
+    CONFIG_KEYS,
     DEFAULT_ENVELOPE_SUITE,
     ConfigError,
     RunConfig,
@@ -164,28 +166,25 @@ def _parse_override(text: str):
     return key.strip(), value
 
 
-def _read_overrides(args) -> dict:
+def _read_overrides(args, command: str, keys: tuple[str, ...]) -> dict:
     """The user's config overrides as dotted keys: config-file values, then
-    --set values (which beat them), then --seed."""
-    known = RunConfig().to_mapping()
-    overrides = {}
+    --set values (which beat them), then --seed (init.seed).  A key outside
+    keys, the ones command reads, is a ConfigError naming it and command."""
+    given = []  # (where, key, value), later ones winning
     if args.config is not None:
         path = Path(args.config)
         loaded = read_report_json(path)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        for key in loaded:
-            if key not in known:
-                raise ConfigError(f"{path}: unknown key {key!r}")
-        overrides.update(loaded)
-    for text in args.set or []:
-        key, value = _parse_override(text)
-        if key not in known:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        overrides[key] = value
+        given += [(path, key, value) for key, value in loaded.items()]
+    given += [("--set", *_parse_override(text)) for text in args.set or []]
     if args.seed is not None:
-        overrides["init.seed"] = args.seed
-    return overrides
+        given.append(("--seed", "init.seed", args.seed))
+    for where, key, _ in given:
+        if key not in keys:
+            raise ConfigError(f"{where}: {command} reads no key {key!r}; "
+                              f"its keys are {', '.join(keys)}")
+    return {key: value for _, key, value in given}
 
 
 def _out_dir(args) -> Path:
@@ -249,28 +248,33 @@ def cmd_envelope(cfg: RunConfig, overrides: dict) -> list[RunReport]:
 
 def cmd_verify_identities(cfg: RunConfig, overrides: dict) -> list[RunReport]:
     """Identity checks on cfg, then the three residual configs with exactly
-    the user's nf.* overrides applied to each."""
-    nf = {key: value for key, value in overrides.items() if key.startswith("nf.")}
+    the nf.* keys the user gave applied to each."""
+    nf = {key: getattr(cfg, key.replace(".", "_")) for key in ("nf.time", "nf.dt")
+          if key in overrides}
     return [run_identity_checks(cfg)] + [
         run_normal_form_residual(RunConfig.from_mapping(residual_cfg.to_mapping() | nf))
         for residual_cfg in default_residual_configs()
     ]
 
 
-# name -> (default config, command).  A command maps the validated config and
-# the user's overrides to its reports.  Runners are looked up by name when a
-# command runs, so wrappers patched onto this module's run_* names
-# (bench/tracing.py) see them.
+# name -> (default config, command, accepted keys: its experiments' CONFIG_KEYS,
+# and for verify-identities the nf.* keys it hands to the residual runs).  A
+# command maps the validated config and the user's overrides to its reports.
+# Runners are looked up by name when a command runs, so wrappers patched onto
+# this module's run_* names (bench/tracing.py) see them.
 COMMANDS = {
-    "simulate": (RunConfig(grid_k=64, T=5.0, init_sigma=2.5),
-                 lambda cfg, _: [run_energy_envelope(cfg)]),
-    "verify-identities": (RunConfig(), cmd_verify_identities),
+    "verify-identities": (RunConfig(), cmd_verify_identities,
+                          CONFIG_KEYS["identity_checks"] + ("nf.time", "nf.dt")),
     "estimate-constants": (RunConfig(s_values=(0.5, 0.9), rho_trials=2000),
-                           lambda cfg, _: [run_constant_estimates(cfg)]),
-    "smoothing": (default_smoothing_config(), lambda cfg, _: [run_smoothing_ladder(cfg)]),
-    "envelope": (DEFAULT_ENVELOPE_SUITE[2], cmd_envelope),
-    "attractor": (default_attractor_config(), lambda cfg, _: [run_attractor_probe(cfg)]),
-    "kdv-limit": (default_kdv_limit_config(), lambda cfg, _: [run_kdv_limit(cfg)]),
+                           lambda cfg, _: [run_constant_estimates(cfg)],
+                           CONFIG_KEYS["constant_estimates"]),
+    "smoothing": (default_smoothing_config(), lambda cfg, _: [run_smoothing_ladder(cfg)],
+                  CONFIG_KEYS["smoothing_ladder"]),
+    "envelope": (DEFAULT_ENVELOPE_SUITE[2], cmd_envelope, CONFIG_KEYS["energy_envelope"]),
+    "attractor": (default_attractor_config(), lambda cfg, _: [run_attractor_probe(cfg)],
+                  CONFIG_KEYS["attractor_probe"]),
+    "kdv-limit": (default_kdv_limit_config(), lambda cfg, _: [run_kdv_limit(cfg)],
+                  CONFIG_KEYS["kdv_limit"]),
 }
 
 
@@ -299,9 +303,9 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    default, command = COMMANDS[args.command]
+    default, command, keys = COMMANDS[args.command]
     try:
-        overrides = _read_overrides(args)
+        overrides = _read_overrides(args, args.command, keys)
         cfg = RunConfig.from_mapping(default.to_mapping() | overrides)
         out = _out_dir(args)
         reports = command(cfg, overrides)

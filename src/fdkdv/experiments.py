@@ -54,6 +54,28 @@ IDENTITY_RESIDUAL_TOL = 1e-12
 CONSTANT_GROWTH = 1.05
 
 
+# The dotted config keys each experiment reads, its CSV writer's s.values and
+# sample.stride included: a report records and hashes only these, and a CLI
+# command accepts only its experiments' keys (pinned to a run's reads in tests).
+_FORCING_KEYS = ("forcing.profile", "forcing.amplitude", "forcing.mode", "forcing.sigma",
+                 "forcing.seed", "forcing.target_l2")
+_INIT_KEYS = ("init.profile", "init.amplitude", "init.mode", "init.sigma", "init.seed",
+              "init.target_l2")
+_RUN_KEYS = ("gamma", *_FORCING_KEYS, "h", "scheme", "T", "s.values", "sample.stride")
+CONFIG_KEYS = {
+    "energy_envelope": ("grid.k", *_RUN_KEYS, *_INIT_KEYS),
+    "absorbing_ball": ("grid.k", *_RUN_KEYS, *_INIT_KEYS),  # judges energy_envelope's run
+    "kdv_limit": ("grid.k", *_RUN_KEYS, *_INIT_KEYS),
+    "smoothing_ladder": ("ladder.k", *_RUN_KEYS, *_INIT_KEYS),
+    "attractor_probe": ("grid.k", *_RUN_KEYS, "init.sigma", "ensemble.seeds"),
+    "normal_form_residual": ("grid.k", "gamma", *_FORCING_KEYS, "scheme", *_INIT_KEYS,
+                             "nf.time", "nf.dt"),
+    "identity_checks": ("identities.radius", "identities.k", "init.seed"),
+    "constant_estimates": ("s.values", "constants.k", "constants.trials", "constants.eps",
+                           "rho.trials", "init.seed"),
+}
+
+
 def _key(name: str) -> str:
     """The dotted config key of a RunConfig field: grid_k -> grid.k."""
     return name.replace("_", ".", 1)
@@ -165,15 +187,14 @@ class RunConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_k)
 
-    def step_size(self) -> float:
-        return self.h if self.h > 0 else default_step(self.grid_k)
+    def step_size(self, K: int = 0) -> float:  # h = 0: the default step at K (0: grid.k)
+        return self.h if self.h > 0 else default_step(K or self.grid_k)
 
-    def to_mapping(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[_key(f.name)] = list(val) if isinstance(val, tuple) else val
-        return out
+    def to_mapping(self, keys=None) -> dict:
+        """The dotted keys, only those in keys if given, with their values."""
+        out = {_key(f.name): getattr(self, f.name) for f in fields(self)}
+        return {key: list(val) if isinstance(val, tuple) else val for key, val in out.items()
+                if keys is None or key in keys}
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
@@ -185,8 +206,8 @@ class RunConfig:
             kwargs[lookup[key]] = tuple(val) if isinstance(val, list) else val
         return cls(**kwargs)
 
-    def hash(self) -> str:
-        canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
+    def hash(self, keys=None) -> str:
+        canon = json.dumps(self.to_mapping(keys), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -222,8 +243,13 @@ def initial_state_for(cfg: RunConfig, grid: GridSpec | None = None) -> CoefSeq:
 
 
 def flow_params_for(cfg: RunConfig, grid: GridSpec | None = None, h: float = 0.0) -> FlowParams:
-    """The flow of every runner: cfg's gamma, forcing and scheme at step h (0: cfg's step)."""
-    return FlowParams(cfg.gamma, forcing_for(cfg, grid), h or cfg.step_size(), cfg.scheme)
+    """The flow of every runner: cfg's gamma, forcing and scheme on grid at step h (0:
+    cfg's step there).  A gamma so small that 2||f||/gamma overflows is a ConfigError."""
+    grid = grid or cfg.grid()
+    forcing = forcing_for(cfg, grid)
+    if cfg.gamma > 0 and not np.isfinite(2.0 * forcing.l2() / cfg.gamma):
+        raise ConfigError(f"gamma = {cfg.gamma:g} is too small: 2||f||/gamma overflows")
+    return FlowParams(cfg.gamma, forcing, h or cfg.step_size(grid.K), cfg.scheme)
 
 
 @dataclass
@@ -267,8 +293,8 @@ class RunReport:
         """Deterministic part of the report (hashed / compared byte-for-byte)."""
         return {
             "experiment": self.experiment,
-            "config": self.config.to_mapping(),
-            "config_hash": self.config.hash(),
+            "config": self.config.to_mapping(CONFIG_KEYS[self.experiment]),
+            "config_hash": self.config.hash(CONFIG_KEYS[self.experiment]),
             "passed": self.passed,
             "verdicts": [c.as_dict() for c in self.checks],
             "measured": _jsonable(self.measured),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -22,11 +23,12 @@ from fdkdv.cli import (
     write_report_json,
     write_trajectory_csv,
 )
-from fdkdv.experiments import RunConfig, run_energy_envelope
+from fdkdv.experiments import CONFIG_KEYS, RunConfig, run_energy_envelope, run_normal_form_residual
 from fdkdv.flow import FlowParams, evolve
 from fdkdv.spectral import CoefSeq, GridSpec
 
 SMALL = ["--set", "grid.k=16", "--set", "T=1.0", "--set", "init.sigma=2.5"]
+UNFORCED = [*SMALL, "--set", "forcing.profile=zero"]  # envelope writes one report
 SMALL_ATTRACTOR = ["--set", "T=10", "--set", "gamma=1.0", "--set", "grid.k=16",
                    "--set", "h=0.002", "--set", "sample.stride=500"]
 
@@ -37,16 +39,20 @@ BAD_CONFIG_VALUES = [
     ("envelope", "gamma=0"),
     ("attractor", "gamma=0"),
     ("kdv-limit", "gamma=0 forcing.profile=cosine"),
-    ("simulate", "scheme=rk4"),
-    ("simulate", "grid.p=5"),
-    ("simulate", "grid.p=400"),  # P follows from grid.k; there is no grid.p
-    ("simulate", "h=-1"),
+    ("envelope", "scheme=rk4"),
+    ("envelope", "grid.p=5"),
+    ("envelope", "grid.p=400"),  # P follows from grid.k; there is no grid.p
+    ("envelope", "h=-1"),
     ("attractor", "s.values=[]"),
     ("smoothing", "s.values=[]"),
     ("smoothing", "ladder.k=[64,64,64]"),
     ("envelope", "forcing.mode=0"),
     ("envelope", "forcing.mode=500"),
-    ("simulate", "forcing.mode=-1"),
+    ("envelope", "forcing.mode=-1"),
+    # a gamma for which 2||f||/gamma overflows
+    ("envelope", "grid.k=16 T=1 forcing.profile=cosine gamma=1e-320"),
+    ("smoothing", "forcing.profile=cosine gamma=1e-320"),
+    ("kdv-limit", "forcing.profile=cosine gamma=1e-320"),
     ("kdv-limit", "init.mode=500"),
     ("estimate-constants", "s.values=[0.5,1.0]"),
     # A4's restart, A9's window and A9's member norms are fixed, not keys
@@ -58,9 +64,9 @@ BAD_CONFIG_VALUES = [
     ("attractor", "attractor.window=0.25"),
     ("attractor", "ensemble.target_l2=[0.5,1,2,4]"),
     ("attractor", "ensemble.target_l2=[1,1,2,3]"),
-    ("simulate", "init.sigma=0.3"),
-    ("simulate", "init.target_l2=-1"),
-    ("simulate", "forcing.profile=random forcing.sigma=0.4"),
+    ("envelope", "init.sigma=0.3"),
+    ("envelope", "init.target_l2=-1"),
+    ("envelope", "forcing.profile=random forcing.sigma=0.4"),
     ("attractor", "T=10 gamma=1.0 grid.k=16 ensemble.target_l2=[0.5,1,2,-4]"),
     ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.5]"),
     ("estimate-constants", "rho.trials=1 constants.k=[0,8,16]"),
@@ -86,24 +92,29 @@ BAD_CONFIG_VALUES = [
     ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
     # a value of the wrong type is named like one out of range
     ("kdv-limit", "grid.k=1.5"),
-    ("simulate", "T=true"),
+    ("envelope", "T=true"),
     ("verify-identities", "identities.radius=2.5"),
     ("estimate-constants", "constants.k=[8,16.5]"),
-    ("simulate", "s.values=0.5"),
+    ("envelope", "s.values=0.5"),
     # a repeated value would repeat a CSV column or a verdict
-    ("simulate", "s.values=[0.5,0.5]"),
-    ("simulate", "s.values=[0.5,0.5000001]"),  # both name the column hs_gap_s0.5
+    ("envelope", "s.values=[0.5,0.5]"),
+    ("envelope", "s.values=[0.5,0.5000001]"),  # both name the column hs_gap_s0.5
     ("smoothing", "s.values=[0.5,0.9,0.5]"),
     ("estimate-constants", "rho.trials=1 constants.trials=1 constants.eps=[0.01,0.01]"),
     ("verify-identities", "nf.time=null"),
     ("attractor", "ensemble.seeds=[1,2,3]"),
     # numpy's generators take no negative seed
-    ("simulate", "init.seed=-1"),
-    ("simulate", "forcing.profile=random forcing.seed=-3"),
+    ("envelope", "init.seed=-1"),
+    ("envelope", "forcing.profile=random forcing.seed=-3"),
     ("attractor", "ensemble.seeds=[1,2,3,-4]"),
     ("estimate-constants", "init.seed=-2"),
     ("verify-identities", "init.seed=-5"),
     ("smoothing", "ladder.k=[16,32]"),
+    # a key the command does not read
+    ("attractor", "init.target_l2=100"),
+    ("attractor", "--seed=5"),
+    ("verify-identities", "grid.k=16"),
+    ("estimate-constants", "T=1"),
 ]
 
 
@@ -111,13 +122,23 @@ def run_cli(*argv):
     return parse_and_dispatch(list(argv))
 
 
-def as_settings(override):
-    return [arg for text in override.split() for arg in ("--set", text)]
+def as_argv(override):
+    """--set for each key=value, and a --flag=value token as that flag."""
+    argv = []
+    for text in override.split():
+        argv += text.split("=", 1) if text.startswith("--") else ["--set", text]
+    return argv
+
+
+def named_key(override):
+    """The config key of an override's last token (init.seed for --seed)."""
+    key = override.split()[-1].split("=")[0]
+    return "init.seed" if key == "--seed" else key
 
 
 class TestDispatch:
-    def test_simulate_small_run(self, tmp_path):
-        code = run_cli("simulate", "--out", str(tmp_path), "--quiet", *SMALL)
+    def test_unforced_envelope_small_run(self, tmp_path):
+        code = run_cli("envelope", "--out", str(tmp_path), "--quiet", *UNFORCED)
         assert code == EXIT_OK
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "report_energy_envelope.json").exists()
@@ -126,7 +147,7 @@ class TestDispatch:
     def test_default_output_root(self, tmp_path, monkeypatch):
         # without --out, a run writes to one stamped directory under the root
         monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "runs"))
-        assert run_cli("simulate", "--quiet", *SMALL) == EXIT_OK
+        assert run_cli("envelope", "--quiet", *UNFORCED) == EXIT_OK
         (stamped,) = (tmp_path / "runs").iterdir()
         assert sorted(p.name for p in stamped.iterdir()) == [
             "plots.gp", "report_energy_envelope.json", "trajectory.csv"
@@ -134,7 +155,7 @@ class TestDispatch:
         # and a run that exits 2 makes none
         (tmp_path / "empty").mkdir()
         monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "empty"))
-        assert run_cli("simulate", "--quiet", "--set", "h=-1") == EXIT_CONFIG
+        assert run_cli("envelope", "--quiet", "--set", "h=-1") == EXIT_CONFIG
         assert list((tmp_path / "empty").iterdir()) == []
 
     def test_runs_in_one_second_get_their_own_directories(self, tmp_path, monkeypatch, capsys):
@@ -142,7 +163,7 @@ class TestDispatch:
         # same stamp must not write into the first one's directory
         monkeypatch.setenv("FDKDV_OUT_ROOT", str(tmp_path / "runs"))
         monkeypatch.setattr(fdkdv.cli, "time", SimpleNamespace(strftime=lambda fmt: "20260101-000000"))
-        assert run_cli("simulate", *SMALL) == EXIT_OK
+        assert run_cli("envelope", *UNFORCED) == EXIT_OK
         assert run_cli("kdv-limit", "--set", "grid.k=16", "--set", "T=0.1") == EXIT_OK
         first, second = (tmp_path / "runs" / name for name in ("20260101-000000", "20260101-000000-2"))
         assert sorted((tmp_path / "runs").iterdir()) == [first, second]
@@ -154,8 +175,8 @@ class TestDispatch:
         assert f"artifacts in {first}\n" in out and f"artifacts in {second}\n" in out
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--quiet", *SMALL],
-        ["simulate", "--quiet", "--set", "h=-1"],
+        ["envelope", "--quiet", *SMALL],
+        ["envelope", "--quiet", "--set", "h=-1"],
     ], ids=["pass", "config-error"])
     def test_main_exits_with_the_dispatch_code(self, tmp_path, monkeypatch, argv):
         argv = [*argv, "--out", str(tmp_path / "run")]
@@ -171,7 +192,7 @@ class TestDispatch:
         assert run_cli("frobnicate") == EXIT_CONFIG
 
     def test_missing_config_file(self, tmp_path):
-        code = run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
+        code = run_cli("envelope", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag, content, below", [
@@ -190,7 +211,7 @@ class TestDispatch:
         ran = []
         monkeypatch.setattr(fdkdv.cli, "run_energy_envelope", lambda cfg: ran.append(cfg))
         other = ["--out", str(tmp_path / "out")] if flag == "--config" else []
-        code = run_cli("simulate", flag, str(path), *other, "--quiet")
+        code = run_cli("envelope", flag, str(path), *other, "--quiet")
         assert code == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
         assert ran == []  # the error comes before anything runs
@@ -198,7 +219,7 @@ class TestDispatch:
     def test_malformed_config_diagnoses_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"grid.k": 16,\n "T": }\n')
-        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path))
+        code = run_cli("envelope", "--config", str(bad), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "line 2" in err
@@ -206,16 +227,33 @@ class TestDispatch:
     def test_unknown_key_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"grid.N": 16}')
-        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path))
+        code = run_cli("envelope", "--config", str(bad), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
         assert "grid.N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, argv, key", [
+        ("attractor", ["--seed", "99", "--set", "init.target_l2=100"], "init.target_l2"),
+        ("attractor", ["--config", "{cfg}"], "ladder.k"),
+        ("smoothing", ["--set", "grid.k=16"], "grid.k"),
+        ("verify-identities", ["--set", "gamma=3.0"], "gamma"),
+    ])
+    def test_unread_key_names_key_and_command(self, tmp_path, capsys, command, argv, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"T": 10, key: [1, 2, 3]}))
+        argv = [arg.format(cfg=cfgfile) for arg in argv]
+        out = tmp_path / "run"
+        assert run_cli(command, "--out", str(out), "--quiet", *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{command} reads no key {key!r}" in err
+        assert not out.exists()
+
     def test_override_precedence(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"grid.k": 16, "T": 1.0, "gamma": 1.0, "init.sigma": 2.5}))
+        cfgfile.write_text(json.dumps({"grid.k": 16, "T": 1.0, "gamma": 1.0, "init.sigma": 2.5,
+                                       "forcing.profile": "zero"}))
         out = tmp_path / "out"
         code = run_cli(
-            "simulate", "--config", str(cfgfile), "--out", str(out),
+            "envelope", "--config", str(cfgfile), "--out", str(out),
             "--set", "gamma=2.0", "--quiet",
         )
         assert code == EXIT_OK
@@ -223,7 +261,7 @@ class TestDispatch:
         assert report["content"]["config"]["gamma"] == 2.0
 
     def test_seed_flag_overrides_init_seed(self, tmp_path):
-        code = run_cli("simulate", "--out", str(tmp_path), "--seed", "99", "--quiet", *SMALL)
+        code = run_cli("envelope", "--out", str(tmp_path), "--seed", "99", "--quiet", *UNFORCED)
         assert code == EXIT_OK
         report = read_report_json(tmp_path / "report_energy_envelope.json")
         assert report["content"]["config"]["init.seed"] == 99
@@ -321,32 +359,32 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command, override", BAD_CONFIG_VALUES)
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, override):
-        code = run_cli(command, "--out", str(tmp_path), "--quiet", *as_settings(override))
+        code = run_cli(command, "--out", str(tmp_path), "--quiet", *as_argv(override))
         assert code == EXIT_CONFIG
-        assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+        assert named_key(override) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, override", BAD_CONFIG_VALUES)
     def test_config_error_makes_no_output_directory(self, tmp_path, command, override):
         out = tmp_path / "run"
-        assert run_cli(command, "--out", str(out), "--quiet", *as_settings(override)) == EXIT_CONFIG
+        assert run_cli(command, "--out", str(out), "--quiet", *as_argv(override)) == EXIT_CONFIG
         assert not out.exists()
 
     def test_solver_failure_prints_only_the_solver_line(self, tmp_path, capsys):
         # the blow-up's overflow raises no numpy warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli("simulate", "--out", str(tmp_path / "run"), "--quiet",
-                           "--set", "h=0.05")
+            code = run_cli("envelope", "--out", str(tmp_path / "run"), "--quiet",
+                           "--set", "grid.k=64", "--set", "T=5.0", "--set", "h=0.05")
         assert code == 3
         assert capsys.readouterr().err == (
-            "solver failure: non-finite state at t = 0.85; reduce the step size\n"
+            "solver failure: non-finite state at t = 0.3; reduce the step size\n"
         )
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(
-            "simulate", "--out", str(tmp_path), "--quiet",
+            "envelope", "--out", str(tmp_path), "--quiet",
             "--set", "grid.k=16", "--set", "T=5.0", "--set", "h=0.5",
             "--set", "init.profile=cosine", "--set", "init.amplitude=1000.0",
             "--set", "forcing.profile=zero",
@@ -417,7 +455,7 @@ class TestDispatch:
             assert (config["nf.time"], config["nf.dt"]) == (nf_time, nf_dt)
 
     @pytest.mark.parametrize("argv, runners", [
-        (["simulate", *SMALL], ["run_energy_envelope"]),
+        (["envelope", *UNFORCED], ["run_energy_envelope"]),
         (["envelope", *SMALL], ["run_energy_envelope", "run_absorbing_ball"]),
         (["attractor", *SMALL_ATTRACTOR], ["run_attractor_probe"]),
     ])
@@ -447,11 +485,90 @@ class TestDispatch:
     def test_determinism_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_cli("simulate", "--out", str(out), "--quiet", *SMALL) == EXIT_OK
+            assert run_cli("envelope", "--out", str(out), "--quiet", *SMALL) == EXIT_OK
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
         ra = read_report_json(a / "report_energy_envelope.json")
         rb = read_report_json(b / "report_energy_envelope.json")
         assert ra["content"] == rb["content"]  # meta carries wall time only
+
+
+# One small run per command, reaching every key the command accepts
+READ_RUNS = {
+    "envelope": SMALL,
+    "kdv-limit": ["--set", "grid.k=16", "--set", "T=0.1"],
+    "smoothing": ["--set", "ladder.k=[4,8,16]", "--set", "T=0.2", "--set", "sample.stride=20",
+                  "--set", "h=0"],  # the default step must come from each rung's K
+    "attractor": SMALL_ATTRACTOR,
+    "estimate-constants": ["--set", "constants.k=[8,16]", "--set", "constants.trials=2",
+                           "--set", "rho.trials=2", "--set", "s.values=[0.5]"],
+    "verify-identities": ["--set", "identities.radius=10", "--set", "identities.k=8",
+                          "--set", "nf.time=0.05", "--set", "nf.dt=3e-5"],
+}
+
+
+def record_reads(monkeypatch, configs) -> set:
+    """The dotted keys of the fields read on the RunConfig objects in configs
+    from now on, leaving out reads made by __post_init__, to_mapping and hash
+    (validation and the report's config section read every key)."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    reads = set()
+
+    def recording(cfg, name):
+        if name in names and any(cfg is c for c in configs):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name not in ("__post_init__", "to_mapping", "hash"):
+                frame = frame.f_back
+            if frame is None:
+                reads.add(name.replace("_", ".", 1))
+        return object.__getattribute__(cfg, name)
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", recording)
+    return reads
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command", sorted(READ_RUNS))
+    def test_command_accepts_the_keys_its_run_reads(self, tmp_path, monkeypatch, command):
+        assert set(READ_RUNS) == set(fdkdv.cli.COMMANDS)
+        default, run, keys = fdkdv.cli.COMMANDS[command]
+        configs = []
+        monkeypatch.setitem(fdkdv.cli.COMMANDS, command, (
+            default, lambda cfg, overrides: configs.append(cfg) or run(cfg, overrides), keys))
+        reads = record_reads(monkeypatch, configs)
+        code = run_cli(command, "--out", str(tmp_path), "--quiet", *READ_RUNS[command])
+        assert code in (EXIT_OK, EXIT_ASSERTION)
+        assert len(configs) == 1
+        assert reads == set(keys)
+        # every report records and hashes exactly its experiment's keys
+        for path in tmp_path.glob("report_*.json"):
+            content = read_report_json(path)["content"]
+            assert list(content["config"]) == sorted(CONFIG_KEYS[content["experiment"]])
+            assert content["config_hash"] == RunConfig.from_mapping(content["config"]).hash(
+                CONFIG_KEYS[content["experiment"]])
+
+    def test_residual_records_the_keys_it_reads(self, monkeypatch):
+        # verify-identities runs it on fixed configs, so no command's run pins it
+        cfg = RunConfig(grid_k=8, nf_time=0.01, nf_dt=1e-3)
+        reads = record_reads(monkeypatch, [cfg])
+        run_normal_form_residual(cfg)
+        assert reads == set(CONFIG_KEYS["normal_form_residual"])
+
+    def test_readme_table_lists_each_commands_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        known = RunConfig().to_mapping()
+
+        def expand(entry):  # forcing.* -> the six forcing keys
+            return [k for k in known if k.startswith(entry[:-1])] if entry.endswith(".*") else [entry]
+
+        listed = {}
+        for line in readme.splitlines():
+            if line.startswith("| `"):
+                commands, keys, count = line.strip("|").split("|")
+                expanded = {k for entry in re.findall(r"`([^`]+)`", keys) for k in expand(entry)}
+                for command in re.findall(r"`([^`]+)`", commands):
+                    listed[command] = (expanded, int(count))
+        assert listed == {name: (set(keys), len(keys))
+                          for name, (_, _, keys) in fdkdv.cli.COMMANDS.items()}
 
 
 class TestTrajectoryCsv:
@@ -506,7 +623,9 @@ class TestReportJson:
     def test_content_carries_hash_verdicts_tolerances(self, tmp_path):
         report = run_energy_envelope(RunConfig(grid_k=16, T=1.0))
         content = report.content_dict()
-        assert content["config_hash"] == report.config.hash()
+        keys = CONFIG_KEYS["energy_envelope"]
+        assert set(content["config"]) == set(keys)
+        assert content["config_hash"] == report.config.hash(keys) != report.config.hash()
         assert content["verdicts"][0].keys() == {"name", "passed", "measured", "tolerance"}
         assert "fdkdv" in content["versions"]
 
@@ -537,7 +656,7 @@ class TestPlotScript:
         assert script.count("smoothing_K") == 3
 
     def test_reused_out_plots_only_this_runs_csvs(self, tmp_path):
-        assert run_cli("simulate", "--out", str(tmp_path), "--quiet", *SMALL) == EXIT_OK
+        assert run_cli("envelope", "--out", str(tmp_path), "--quiet", *SMALL) == EXIT_OK
         assert run_cli("attractor", "--out", str(tmp_path), "--quiet", *SMALL_ATTRACTOR) == EXIT_OK
         script = (tmp_path / "plots.gp").read_text()
         assert (tmp_path / "trajectory.csv").exists()  # the first run's, left in place

@@ -71,6 +71,18 @@ class TestRunConfig:
         assert RunConfig(grid_k=1000).step_size() == pytest.approx(5e-4)
         assert RunConfig(h=2e-4).step_size() == 2e-4
 
+    def test_flow_default_step_follows_the_grid(self):
+        # a smoothing rung's grid is not cfg's grid.k = 128, whose default is 1e-3
+        assert flow_params_for(RunConfig(), GridSpec(1024)).h == 0.5 / 1024
+        assert flow_params_for(RunConfig(h=2e-4), GridSpec(1024)).h == 2e-4
+        assert flow_params_for(RunConfig(grid_k=1000)).h == 5e-4
+
+    def test_gamma_whose_ball_radius_overflows_is_rejected(self):
+        with pytest.raises(ConfigError, match="gamma"):
+            flow_params_for(RunConfig(gamma=1e-320), GridSpec(16))
+        # unforced, the radius is 0 at any positive gamma
+        assert flow_params_for(RunConfig(gamma=1e-320, forcing_profile="zero")).gamma == 1e-320
+
 
 class TestRunReport:
     def test_no_verdict_is_not_a_pass(self):
