@@ -20,22 +20,35 @@ quadratic term is the package's one product kernel,
 transform, squared, one transform).  It calls numpy's pocketfft transforms
 directly: at these sizes the ``np.fft`` wrappers' argument handling costs
 about as much as a transform, and the results are the wrappers' bit for
-bit.  A single run is a batch of one, and each member of a batch is
-bit-identical to its solo run.
+bit.  A single run is a batch of one, and each member of a fixed-step
+batch is bit-identical to its solo run.
 
 The stages allocate nothing.  The kernel for one (params, h, M)
 owns its work arrays: a physical buffer (M, P) and a spectrum (M, P//2+1)
-that product_half computes in, four stage results and two temporaries.
+that product_half computes in, four stage results and two temporaries;
+kernels for other step sizes of the same batch share them.
 Every other operation is an in-place ufunc.  Each in-place operation is one
 of the plain expressions quoted in the kernel, applied to the same operands
 in the same order, so every state is bit-identical to the plain
 expressions' result; ``tests/test_flow.py`` pins this against an allocating
 copy of them.  :func:`evolve_batch` steps its batch in place and checks
 the norm and finiteness of every state before it is recorded.
+
+A step is the stage N(c), which does not depend on the step size, then
+the stages that do.  After N(c) the physical buffer holds u(x)^2 of every
+member, so max|u| costs one reduction.  ``evolve_batch(..., coarsen=True)``
+uses it to take, at each step, the longest step h * 2^j whose convective
+number (h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
+that divide the sampling stride and start on a multiple of 2^j: every
+sample lands on its fixed-step time, and h becomes the finest step.  Only
+the attractor probe under ETDRK4 coarsens; every other run, and every
+IFRK4 run (whose stage quadrature saturates as |k^3 h| grows), keeps its
+fixed step and does no reduction.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +101,11 @@ class FlowParams:
         return self.forcing.grid
 
 
+# the largest (step size) * K * max|u| at which a coarsened run
+# (evolve_batch(..., coarsen=True)) may take a step longer than params.h
+CONVECTIVE_LIMIT = 0.5
+
+
 def default_step(K: int) -> float:
     # the convective term limits h; the exactly-integrated linear part does not
     return min(1e-3, 0.5 / K)
@@ -99,7 +117,11 @@ class TrajectoryRecord:
 
     l2_norms holds the l2 norm of each sampled state; dense_times /
     dense_l2 carry the l2 norm at every solver step (states are only kept
-    at the sampled times).  :func:`evolve_batch` is the one constructor.
+    at the sampled times).  step_counts maps each step size the batch took
+    to its number of steps; max_convective is the batch's worst
+    (step size) * K * max|u| at the start of a step, measured only by a
+    coarsened run (None otherwise).  :func:`evolve_batch` is the one
+    constructor.
     """
 
     times: np.ndarray
@@ -109,6 +131,8 @@ class TrajectoryRecord:
     l2_norms: np.ndarray = field(init=False)
     dense_times: np.ndarray = field(repr=False)
     dense_l2: np.ndarray = field(repr=False)
+    step_counts: dict
+    max_convective: float | None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -157,29 +181,44 @@ class _Stepper:
     acting on half spectra of shape (M, K+1): modes k = 0..K, one row per
     batch member.  The k = 0 slot of every output is zero.
 
-    The stages compute into work arrays made here once.  Each scheme
-    performs the operations of the expressions quoted in its comment, in
-    the same order, so the buffering changes no bit of the result.
+    A step is :meth:`first`, the stage N(c), which does not depend on h,
+    then :meth:`finish`, the stages that do.  The stages compute into work
+    arrays made here once; :meth:`at_step` gives a kernel for another step
+    size that shares them.  Each scheme performs the operations of the
+    expressions quoted in its comment, in the same order, so the buffering
+    changes no bit of the result.
     """
 
     def __init__(self, params: FlowParams, h: float, M: int):
-        self.h = h
         g = params.grid
-        lam, self.convect = _symbols(g, params.gamma)
+        self._lam, self.convect = _symbols(g, params.gamma)
+        self._scheme = params.scheme
         self.forcing = params.forcing.coef
-        self.E = np.exp(lam * (h / 2.0))
-        self.E2 = np.exp(lam * h)
-        if params.scheme == "etdrk4":
-            self.Q, self.f1, f2, self.f3 = _etdrk4_coeffs(lam, h)
-            self.f2x2 = 2.0 * f2
-            self._step = self._etdrk4
-        else:
-            self._step = self._ifrk4
         self.grid = g
         self._phys = np.empty((M, g.P))
         self._spec = np.empty((M, g.P // 2 + 1), dtype=np.complex128)
         self._n = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(4)]
         self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(2)]
+        self._set_step(h)
+
+    def _set_step(self, h: float) -> None:
+        lam = self._lam
+        self.h = h
+        self.E = np.exp(lam * (h / 2.0))
+        self.E2 = np.exp(lam * h)
+        if self._scheme == "etdrk4":
+            self.Q, self.f1, f2, self.f3 = _etdrk4_coeffs(lam, h)
+            self.f2x2 = 2.0 * f2
+            self._finish = self._etdrk4
+        else:
+            self._finish = self._ifrk4
+
+    def at_step(self, h: float) -> "_Stepper":
+        """The kernel for step size h on the same params and batch, sharing
+        this one's work arrays (so a step of either overwrites them)."""
+        other = copy.copy(self)
+        other._set_step(h)
+        return other
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k, written
@@ -189,16 +228,32 @@ class _Stepper:
         np.multiply(self.convect, uu, out=out)
         return np.add(out, self.forcing, out=out)
 
-    def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One step from c, written to out; returns out.  out may be c: the
-        stages read c before the last operation writes out."""
-        self._step(c, out)
+    def first(self, c: np.ndarray) -> None:
+        """The first stage N(c), shared by every step size.  Until the next
+        stage runs, the physical buffer holds u(x)^2 of every member."""
+        self.nonlinear(c, self._n[0])
+
+    def max_abs_u(self) -> float:
+        """max |u(x)| over the batch, read from the physical buffer that
+        :meth:`first` leaves holding u(x)^2."""
+        return float(np.sqrt(self._phys.max()))
+
+    def finish(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rest of the step from c after :meth:`first` (by this kernel or
+        one sharing its work arrays), written to out; returns out.  out may
+        be c: the stages read c before the last operation writes out."""
+        self._finish(c, out)
         out[:, 0] = 0.0
         return out
 
+    def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One step from c, written to out; returns out (which may be c)."""
+        self.first(c)
+        return self.finish(c, out)
+
     def _ifrk4(self, c, out):
         # cE2 = c * E2
-        # n1 = N(c)
+        # n1 = N(c)                       (first)
         # n2 = N((c + (h / 2) * n1) * E)
         # n3 = N(c * E + (h / 2) * n2)
         # n4 = N(cE2 + h * (n3 * E))
@@ -209,7 +264,6 @@ class _Stepper:
         mul, add = np.multiply, np.add
         n1, n2, n3, n4 = self._n
         a, cE2 = self._tmp
-        N(c, n1)
         N(mul(add(c, mul(h / 2.0, n1, out=a), out=a), E, out=a), n2)
         N(add(mul(c, E, out=a), mul(h / 2.0, n2, out=n3), out=n3), n3)
         mul(c, E2, out=cE2)
@@ -219,8 +273,8 @@ class _Stepper:
         add(cE2, mul(h / 6.0, a, out=a), out=out)
 
     def _etdrk4(self, c, out):
+        # n0 = N(c)                       (first)
         # ch = c * E
-        # n0 = N(c)
         # a = ch + Q * n0
         # na = N(a)
         # nb = N(ch + Q * na)
@@ -231,7 +285,6 @@ class _Stepper:
         n0, na, nb, nc = self._n
         ch, a = self._tmp
         mul(c, E, out=ch)
-        N(c, n0)
         N(add(ch, mul(Q, n0, out=a), out=a), na)
         N(add(ch, mul(Q, na, out=nb), out=nb), nb)
         mul(Q, np.subtract(mul(2.0, nb, out=nc), n0, out=nc), out=nc)
@@ -289,15 +342,24 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
 
 
 def evolve_batch(
-    u0s, T: float, params: FlowParams, sample_every: int = 1
+    u0s, T: float, params: FlowParams, sample_every: int = 1, *, coarsen: bool = False
 ) -> tuple[TrajectoryRecord, ...]:
     """March every initial state in u0s from t = 0 to T under one shared
     params, as one batch; one TrajectoryRecord per member, in order.
 
-    Each member's record is bit-identical to its :func:`evolve` run.  A
-    non-finite member stops the whole batch with StepFailureError carrying
-    the time of its first non-finite state and the member's index; no state
-    after that time is recorded.
+    Without coarsen, each member's record is bit-identical to its
+    :func:`evolve` run.  A non-finite member stops the whole batch with
+    StepFailureError carrying the time of its first non-finite state and
+    the member's index; no state after that time is recorded.
+
+    With coarsen, params.h is the finest step.  At step index i (in units
+    of h) the batch takes the longest step n * h, n = 2^j, for which n
+    divides both sample_every and i, i + n is at most the last full step,
+    and (n * h) * K * max|u| <= CONVECTIVE_LIMIT for the batch's state at i.
+    Every sample therefore lands on its fixed-step time.  max|u| costs one
+    reduction per step, of the u(x)^2 the first stage leaves behind; a
+    step of n = 1 is the fixed step to the bit.  The batch shares one
+    schedule, so a member is no longer bit-identical to its solo run.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -324,28 +386,62 @@ def evolve_batch(
             member.append(CoefSeq(g, row))
 
     coef = _batch(u0s, g)
-    sq = np.empty((n_full + 1 + (h_last > 0.0), M))
-    sq[0] = _half_sq_norms(coef, 0.0)
     kernel = _Stepper(params, h, M)
+    top = 1  # the longest step in units of h: a power of two dividing sample_every
+    while coarsen and sample_every % (2 * top) == 0 and 2 * top <= n_full:
+        top *= 2
+    kernels = {1 << j: kernel.at_step((1 << j) * h) for j in range(1, top.bit_length())}
+    kernels[1] = kernel
+    counts = dict.fromkeys(kernels, 0)
+    conv_per_h = h * g.K
+    worst = 0.0
+    # step index (units of h) and half squared norms of every dense state
+    index = np.zeros(n_full + 2, dtype=np.int64)
+    sq = np.empty((n_full + 2, M))
+    sq[0] = _half_sq_norms(coef, 0.0)
+    steps = i = 0
     # the batch is stepped in place; CoefSeq copies the rows it records
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        for i in range(1, n_full + 1):
-            kernel(coef, coef)
-            sq[i] = _half_sq_norms(coef, i * h)
+        while i < n_full:
+            if coarsen:
+                kernel.first(coef)
+                conv = conv_per_h * kernel.max_abs_u()
+                n = top
+                while n > 1 and (i % n or i + n > n_full or not n * conv <= CONVECTIVE_LIMIT):
+                    n //= 2
+                worst = max(worst, n * conv)
+                kernels[n].finish(coef, coef)
+            else:
+                n = 1
+                kernel(coef, coef)
+            i += n
+            steps += 1
+            counts[n] += 1
+            index[steps] = i
+            sq[steps] = _half_sq_norms(coef, i * h)
             if i % sample_every == 0 and not (i == n_full and h_last == 0.0):
                 record(i * h, coef)
-        dense_t = np.arange(n_full + 1) * h
+        dense_t = index[: steps + 1] * h
         if h_last > 0.0:
-            _Stepper(params, h_last, M)(coef, coef)
-            sq[-1] = _half_sq_norms(coef, T)
+            last = kernel.at_step(h_last)
+            last.first(coef)
+            if coarsen:
+                worst = max(worst, h_last * g.K * last.max_abs_u())
+            last.finish(coef, coef)
+            steps += 1
+            sq[steps] = _half_sq_norms(coef, T)
             dense_t = np.append(dense_t, T)
     record(T, coef)
 
+    step_counts = {n * h: counts[n] for n in sorted(counts) if counts[n]}
+    if h_last > 0.0:
+        step_counts = {h_last: 1} | step_counts  # h_last < h: the smallest size first
     return tuple(
         TrajectoryRecord(
             times=np.array(times), states=tuple(member),
             gamma=params.gamma, forcing_l2=params.forcing.l2(),
-            dense_times=dense_t.copy(), dense_l2=np.sqrt(2.0 * sq[:, m]),
+            dense_times=dense_t.copy(), dense_l2=np.sqrt(2.0 * sq[: steps + 1, m]),
+            step_counts=dict(step_counts), max_convective=worst if coarsen else None,
         )
         for m, member in enumerate(states)
     )
@@ -376,6 +472,6 @@ def energy_envelope(t, u0_l2: float, f_l2: float, gamma: float):
     if gamma == 0:
         env = u0_l2 + f_l2 * t
     else:
-        decay = np.exp(-gamma * t)
-        env = decay * u0_l2 + (f_l2 / gamma) * (1.0 - decay)
+        # expm1 keeps 1 - e^{-gamma t} ~ gamma t where the subtraction cancels
+        env = np.exp(-gamma * t) * u0_l2 + (f_l2 / gamma) * -np.expm1(-gamma * t)
     return env if env.ndim else float(env)

@@ -491,6 +491,16 @@ class TestDispatch:
         rb = read_report_json(b / "report_energy_envelope.json")
         assert ra["content"] == rb["content"]  # meta carries wall time only
 
+    def test_tiny_gamma_envelope_keeps_its_forcing_growth(self, tmp_path, capsys):
+        # at gamma * t ~ 1e-300 the envelope is ||u0|| + ||f|| t; computing
+        # 1 - e^{-gamma t} by subtraction once cancelled it to ||u0|| and
+        # failed the run with envelope_violation = 0.301
+        code = run_cli("envelope", "--out", str(tmp_path), "--quiet",
+                       "--set", "gamma=1e-300", "--set", "grid.k=16", "--set", "T=1")
+        assert code == EXIT_OK, capsys.readouterr().err
+        report = read_report_json(tmp_path / "report_energy_envelope.json")
+        assert report["content"]["measured"]["max_envelope_violation"] < 1e-12
+
 
 # One small run per command, reaching every key the command accepts
 READ_RUNS = {

@@ -1,6 +1,8 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import fdkdv.experiments
 from fdkdv.experiments import (
@@ -23,7 +25,8 @@ from fdkdv.experiments import (
     run_kdv_limit,
     run_smoothing_ladder,
 )
-from fdkdv.flow import FlowParams, StepFailureError, evolve
+from fdkdv.cli import parse_and_dispatch
+from fdkdv.flow import FlowParams, StepFailureError, evolve, evolve_batch
 from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state
 
 
@@ -286,6 +289,62 @@ class TestAttractorProbe:
         assert r.passed
         assert r.measured["radius_decay_factor"] < 1e-2
         assert max(r.measured["late_time_radii"].values()) < 0.05
+
+
+class TestCoarsenedAttractor:
+    # K = 32, gamma = 0.5, ETDRK4 at h = 1e-3, stride 100: steps of h, 2h, 4h
+    CFG = RunConfig(
+        grid_k=32, gamma=0.5, forcing_amplitude=1.0, init_sigma=1.2,
+        h=1e-3, scheme="etdrk4", T=20.0, s_values=(0.5,), sample_stride=100,
+        ensemble_seeds=(11, 12, 13, 14),
+    )
+
+    def test_late_radii_match_the_fixed_step_run(self, monkeypatch):
+        coarse = run_attractor_probe(self.CFG)
+        monkeypatch.setattr(
+            fdkdv.experiments, "evolve_batch",
+            lambda *args, coarsen, **kwargs: evolve_batch(*args, coarsen=False, **kwargs),
+        )
+        fixed = run_attractor_probe(self.CFG)
+        assert coarse.passed and fixed.passed
+        got, ref = coarse.measured["late_time_radii"], fixed.measured["late_time_radii"]
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert got[key] == pytest.approx(ref[key], rel=2e-7, abs=0.0)
+        assert fixed.measured["solver_steps"] == 20000
+        assert fixed.measured["step_counts"] == {1e-3: 20000}
+        assert fixed.measured["max_convective_number"] is None
+
+    def test_measured_step_bookkeeping(self):
+        m = run_attractor_probe(self.CFG).measured
+        counts = m["step_counts"]
+        assert set(counts) == {1e-3, 2e-3, 4e-3}
+        assert m["solver_steps"] == sum(counts.values()) < 20000 / 3
+        assert sum(size * n for size, n in counts.items()) == pytest.approx(self.CFG.T)
+        assert 0.25 < m["max_convective_number"] <= 0.5
+        # bench/workloads.key_quantities selects keys by these prefixes
+        for key in ("solver_steps", "step_counts", "max_convective_number"):
+            assert not key.startswith(("radius_spread", "late_time_radii", "final"))
+
+    def test_ifrk4_keeps_its_fixed_step(self):
+        cfg = RunConfig(grid_k=16, gamma=1.0, h=0.002, scheme="ifrk4", T=10.0,
+                        sample_stride=500, ensemble_seeds=(11, 12, 13, 14))
+        m = run_attractor_probe(cfg).measured
+        assert m["step_counts"] == {0.002: 5000}
+        assert m["max_convective_number"] is None
+
+    def test_identical_cli_runs_write_identical_csvs(self, tmp_path):
+        argv = ["--quiet", "--set", "T=10", "--set", "gamma=1.0", "--set", "grid.k=16",
+                "--set", "h=0.002", "--set", "sample.stride=500"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert parse_and_dispatch(["attractor", "--out", str(out), *argv]) == 0
+        csvs = sorted(p.name for p in a.glob("*.csv"))
+        assert len(csvs) == 4
+        for name in csvs:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        report = json.loads((a / "report_attractor_probe.json").read_text())
+        assert len(report["content"]["measured"]["step_counts"]) > 1  # it coarsened
 
 
 class TestAttractorMemberNorms:

@@ -5,6 +5,7 @@ import pytest
 
 from fdkdv import flow
 from fdkdv.flow import (
+    CONVECTIVE_LIMIT,
     FlowParams,
     StepFailureError,
     _etdrk4_coeffs,
@@ -501,6 +502,98 @@ class TestBufferedKernelOracle:
                 assert np.array_equal(state.coef, c[m])
 
 
+@pytest.fixture
+def step_log(monkeypatch):
+    """(step size, max|u| of the state it starts from) of every step taken
+    from now on; max|u| is read from the batch's physical values directly."""
+    log = []
+    finish = flow._Stepper.finish
+
+    def logged(self, c, out):
+        u = np.fft.irfft(c, n=self.grid.P, norm="forward")
+        log.append((self.h, float(np.max(np.abs(u)))))
+        return finish(self, c, out)
+
+    monkeypatch.setattr(flow._Stepper, "finish", logged)
+    return log
+
+
+def coarse_case(K=32, h=4e-3, amplitude=1.0):
+    """A forced ETDRK4 pair whose l2 = 4 member's transient holds the step
+    at h while the settled batch runs at 2h and 4h."""
+    g = GridSpec(K)
+    params = FlowParams(gamma=1.0, forcing=CoefSeq.cosine(g, amplitude=amplitude), h=h,
+                        scheme="etdrk4")
+    members = [random_rough_state(g, 1.2, seed=s, target_l2=l2) for s, l2 in ((1, 0.5), (2, 4.0))]
+    return params, members
+
+
+def assert_runs_equal(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.times, y.times)
+        assert np.array_equal(x.dense_times, y.dense_times)
+        assert np.array_equal(x.dense_l2, y.dense_l2)
+        assert all(np.array_equal(u.coef, v.coef) for u, v in zip(x.states, y.states, strict=True))
+
+
+class TestCoarsenedBatch:
+    """evolve_batch(..., coarsen=True): steps of h * 2^j under the convective
+    limit, dividing the stride, sampled at the fixed-step times."""
+
+    def test_sample_times_are_the_fixed_step_times(self):
+        params, members = coarse_case()
+        h = params.h
+        T = 600.5 * h  # a shortened last step of h / 2 lands on T
+        fixed = evolve_batch(members, T, params, sample_every=24)
+        coarse = evolve_batch(members, T, params, sample_every=24, coarsen=True)
+        for x, y in zip(coarse, fixed):
+            assert np.array_equal(x.times, y.times)
+            assert x.times[-1] == T and x.dense_times[-1] == T
+            assert set(x.dense_times) <= set(y.dense_times)
+            assert x.dense_l2.shape == x.dense_times.shape
+        counts = coarse[0].step_counts
+        assert set(counts) == {T - 600 * h, h, 2 * h, 4 * h}
+        assert counts[T - 600 * h] == 1
+        assert sum(n * round(size / h) for size, n in counts.items() if size >= h) == 600
+        assert sum(counts.values()) == len(coarse[0].dense_times) - 1 < 600
+        assert fixed[0].step_counts == {T - 600 * h: 1, h: 600}
+        assert fixed[0].max_convective is None
+
+    def test_odd_stride_is_the_fixed_run_to_the_bit(self):
+        params, members = coarse_case()
+        T = 300.5 * params.h
+        coarse = evolve_batch(members, T, params, sample_every=37, coarsen=True)
+        assert_runs_equal(coarse, evolve_batch(members, T, params, sample_every=37))
+        assert set(coarse[0].step_counts) == {T - 300 * params.h, params.h}
+
+    def test_no_room_under_the_limit_is_the_fixed_run_to_the_bit(self, step_log):
+        # at K = 16, h = 0.03 and a forcing of amplitude 2, 2h * K * max|u|
+        # stays above the limit at every step
+        params, members = coarse_case(K=16, h=0.03, amplitude=2.0)
+        T = 300 * params.h
+        coarse = evolve_batch(members, T, params, sample_every=24, coarsen=True)
+        assert len(step_log) == 300
+        assert min(2 * h * 16 * umax for h, umax in step_log) > CONVECTIVE_LIMIT
+        assert_runs_equal(coarse, evolve_batch(members, T, params, sample_every=24))
+
+    def test_long_steps_are_aligned_and_under_the_limit(self, step_log):
+        params, members = coarse_case()
+        h, K = params.h, params.grid.K
+        (traj, _) = evolve_batch(members, 600 * h, params, sample_every=24, coarsen=True)
+        starts = np.rint(traj.dense_times[:-1] / h).astype(int)
+        assert len(step_log) == len(starts)
+        sizes = [round(size / h) for size, _ in step_log]
+        assert np.array_equal(np.diff(np.rint(traj.dense_times / h)), sizes)
+        assert {1, 2, 4} == set(sizes)
+        for start, n, (size, umax) in zip(starts, sizes, step_log):
+            if n > 1:
+                assert start % n == 0 and 24 % n == 0
+                assert size * K * umax <= CONVECTIVE_LIMIT
+        # the transient is what holds a step at h
+        assert traj.max_convective == pytest.approx(max(s * K * u for s, u in step_log))
+        assert traj.max_convective > CONVECTIVE_LIMIT
+
+
 @pytest.fixture(scope="module")
 def blowup_states():
     """Per-step states of a forced K = 16 run at h = 0.05 up to the last
@@ -552,6 +645,20 @@ class TestHealthCheck:
         assert info.value.member == 1
 
 
+    def test_coarsened_blowup_names_member_and_time(self, step_log):
+        # IFRK4 at K = 16, h = 0.05 under a growing forced flow: the small
+        # start allows a step of 8h, then the batch fails at full steps
+        g = GridSpec(16)
+        params = FlowParams(gamma=0.0, forcing=CoefSeq.cosine(g, amplitude=1.2), h=0.05)
+        members = [CoefSeq.zeros(g), CoefSeq.cosine(g, amplitude=0.01)]
+        with pytest.raises(StepFailureError) as info:
+            evolve_batch(members, 50.0, params, sample_every=8, coarsen=True)
+        sizes = [round(size / params.h) for size, _ in step_log]
+        assert sizes[0] == 8 and set(sizes[1:]) == {1}
+        assert info.value.time == sum(sizes) * params.h == 6.4
+        assert info.value.member == 1
+        assert "batch member 1 at t = 6.4;" in str(info.value)
+
     def test_blowup_raises_without_numpy_warnings(self, blowup_states):
         # the overflow that precedes a non-finite state is the solver's to
         # report, not numpy's
@@ -595,6 +702,12 @@ class TestEnergyEnvelope:
         assert env.shape == ts.shape
         assert np.array_equal(env, [energy_envelope(t, 1.3, 0.7, gamma) for t in ts])
         assert isinstance(energy_envelope(ts[5], 1.3, 0.7, gamma), float)
+
+    def test_small_gamma_t_keeps_the_forcing_growth(self):
+        # 1 - e^{-gamma t} by subtraction cancels to 0 below gamma t ~ 1e-16;
+        # the envelope must still grow like ||u0|| + ||f|| t there
+        assert energy_envelope(1.0, 1.0, 0.5, 1e-17) == 1.5
+        assert energy_envelope(np.array([2.0]), 1.0, 0.5, 1e-300)[0] == 2.0
 
     def test_undamped_limit(self):
         # gamma = 0: the norm grows at most linearly, ||u0|| + ||f|| t
