@@ -263,10 +263,30 @@ def _bilinear_matrix(v: CoefSeq, s: float) -> np.ndarray:
     return np.block([[p.real, -m.imag], [p.imag, m.real]])
 
 
+# Eigenvalues of M^T M within this relative distance of the largest count as
+# tied with it in _maximizer.
+_TOP_TIE = 1e-12
+
+
 def _maximizer(v: CoefSeq, s: float) -> CoefSeq:
-    """A u maximizing ||B(u, v)||_{H^s} / ||u||: the top right singular
-    vector of :func:`_bilinear_matrix`, with ||u|| = sqrt(2)."""
-    x = np.linalg.svd(_bilinear_matrix(v, s))[2][0]
+    """A u maximizing ||B(u, v)||_{H^s} / ||u||, with ||u|| = sqrt(2): a top
+    right singular vector of M = :func:`_bilinear_matrix`, taken from the
+    eigenvectors of the symmetric M^T M (one eigh, cheaper than an SVD).
+
+    When the top singular value is multiple, u is the maximizer nearest v,
+    the projection of v onto its singular space (or, if v is orthogonal to
+    that space, the eigenvector eigh lists last): the alternation's fixed
+    point has u parallel to v, since B is symmetric.  A v on mode 1 alone
+    makes it double (its u and the quarter-period shift i u_k score alike),
+    and there the projection keeps the cosine-type u the alternation climbs
+    from best.  At K = 1, where M = 0, u is v rescaled.
+    """
+    m = _bilinear_matrix(v, s)
+    values, vectors = np.linalg.eigh(m.T @ m)
+    top = vectors[:, values >= values[-1] * (1.0 - _TOP_TIE)]
+    x = top @ (top.T @ np.concatenate((v.coef[1:].real, v.coef[1:].imag)))
+    norm = np.linalg.norm(x)
+    x = x / norm if norm > 0 else vectors[:, -1]  # v orthogonal to that space
     K = v.grid.K
     return CoefSeq(v.grid, np.concatenate(([0.0], x[:K] + 1j * x[K:])))
 

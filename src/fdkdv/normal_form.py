@@ -116,10 +116,16 @@ def resonant_cubic(u: CoefSeq) -> CoefSeq:
     For s < 1 its H^s norm is bounded by ||u||^3 (the 1/k weight absorbs the
     |k|^s factor).
     """
-    k = u.grid.modes[1:].astype(np.float64)
-    out = np.zeros(u.grid.size, dtype=np.complex128)
-    out[1:] = (-1j / (6.0 * k)) * np.abs(u.coef[1:]) ** 2 * u.coef[1:]
-    return u.with_coef(out)
+    return u.with_coef(resonant_cubic_coefs(u.coef))
+
+
+def resonant_cubic_coefs(a: np.ndarray) -> np.ndarray:
+    """:func:`resonant_cubic` of every half spectrum k = 0..K along the last
+    axis of a, with the same operations on each."""
+    k = np.arange(1, a.shape[-1], dtype=np.float64)
+    out = np.zeros(a.shape, dtype=np.complex128)
+    out[..., 1:] = (-1j / (6.0 * k)) * np.abs(a[..., 1:]) ** 2 * a[..., 1:]
+    return out
 
 
 def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = None) -> CoefSeq:
@@ -197,36 +203,57 @@ def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:
     return out
 
 
+# Output modes per block of the resonant enumeration: temporaries are
+# _RESONANT_ROWS x (2K + 1), so memory stays linear in K.
+_RESONANT_ROWS = 128
+
+
+def _resonant_sums(a: np.ndarray) -> np.ndarray:
+    """For each k = -K..K, the sum of (u_{k1} / k1) u_{k2} u_{k3} over the
+    resonant triples of the cubic sum, those with k1 + k2 + k3 = k, all of
+    k1, k2, k3, k2 + k3 nonzero and in band, and k1 + k2 = 0 or k1 + k3 = 0,
+    for the half spectrum a.
+
+    The two pair classes are enumerated term by term on the (k, k1) grid:
+    k2 = -k1 puts k3 = k, and k3 = -k1 puts k2 = k, so both are in band and
+    k2 + k3 = k - k1 is nonzero off k1 = k.  Their overlap, k1 = -k with
+    k2 = k3 = k, lies in both and is subtracted once.  O(K^2) work, in blocks
+    of _RESONANT_ROWS output modes.
+    """
+    K = a.size - 1
+    c = _full_spectrum(a)  # u_j at index j + K
+    j = np.arange(-K, K + 1)
+    nz = j != 0
+    w = np.zeros_like(c)
+    w[nz] = c[nz] / j[nz]  # u_{k1} / k1, zero at k1 = 0
+    c_neg = c[::-1]  # u_{-k1}
+    sums = np.empty_like(c)
+    for r0 in range(0, j.size, _RESONANT_ROWS):
+        k = j[r0 : r0 + _RESONANT_ROWS, None]
+        ck = c[k + K]
+        off = k != j  # k1 != k
+        pair12 = np.where(off, w * c_neg, 0.0) * ck  # k2 = -k1, k3 = k
+        pair13 = np.where(off, w * ck, 0.0) * c_neg  # k2 = k, k3 = -k1
+        overlap = w[K - k] * ck * ck  # k1 = -k, k2 = k3 = k
+        sums[r0 : r0 + k.size] = pair12.sum(axis=1) + pair13.sum(axis=1) - overlap[:, 0]
+    return sums
+
+
 def resonant_cancellation_residual(u: CoefSeq) -> float:
-    """Enumerate every resonant in-band triple of the cubic sum and compare
-    against the closed diagonal form -(|u_k|^2 u_k)/k.
+    """Enumerate every resonant in-band triple of the cubic sum
+    (:func:`_resonant_sums`) and compare against the closed diagonal form
+    -(|u_k|^2 u_k)/k.
 
     The two pair classes contribute u_k sum_j |u_j|^2 / j each, which cancels
     in j <-> -j pairs for a real field; the residual is roundoff-level.
     """
     K = u.grid.K
     c = _full_spectrum(u.coef)
-    k1v = np.arange(-K, K + 1)
-    K1, K2 = np.meshgrid(k1v, k1v, indexing="ij")
-    inv1 = np.zeros(2 * K + 1)
-    inv1[k1v != 0] = 1.0 / k1v[k1v != 0]
-    W1 = inv1[K1 + K] * c[K1 + K]
-    sums = np.zeros(c.size, dtype=np.complex128)
-    for k in range(-K, K + 1):
-        if k == 0:
-            continue
-        K3 = k - K1 - K2
-        valid = (np.abs(K3) <= K) & (K3 != 0) & (K1 != 0) & (K2 != 0) & (K2 + K3 != 0)
-        resonant = valid & (((K1 + K2) == 0) | ((K1 + K3) == 0))
-        if not resonant.any():
-            continue
-        U3 = c[np.where(resonant, K3 + K, 0)]
-        sums[k + K] = (W1 * c[K2 + K] * U3)[resonant].sum()
-    k = k1v.astype(np.float64)
-    expected = np.zeros_like(sums)
+    k = np.arange(-K, K + 1).astype(np.float64)
+    expected = np.zeros_like(c)
     nz = k != 0
     expected[nz] = -np.abs(c[nz]) ** 2 * c[nz] / k[nz]
-    return float(np.max(np.abs(sums - expected)))
+    return float(np.max(np.abs(_resonant_sums(u.coef) - expected)))
 
 
 def normal_form_residual(states, frame: NormalFormFrame, t: float, dt: float) -> float:

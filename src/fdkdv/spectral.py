@@ -133,14 +133,20 @@ def sobolev_norm(u: CoefSeq, s: float) -> float:
     s = 0 is the plain l2 norm.  u_0 = 0 on this class, so the homogeneous
     weight is well defined.
     """
+    return float(sobolev_norms(u.coef, s))
+
+
+def sobolev_norms(coef: np.ndarray, s: float) -> np.ndarray:
+    """:func:`sobolev_norm` of every half spectrum k = 0..K along the last
+    axis of coef (u_0 is not read), with the same operations on each."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    x = np.abs(u.coef[1:]) ** 2
+    x = np.abs(coef[..., 1:]) ** 2
     if s != 0:
-        x = np.arange(1, u.grid.K + 1, dtype=np.float64) ** (2.0 * s) * x
+        x = np.arange(1, coef.shape[-1], dtype=np.float64) ** (2.0 * s) * x
     # the terms of k < 0 repeat those of k > 0; adding them in the order
     # -K..-1, 1..K keeps the rounding of the sum over the whole spectrum
-    return float(np.sqrt(np.sum(np.concatenate((x[::-1], x)))))
+    return np.sqrt(np.sum(np.concatenate((x[..., ::-1], x), axis=-1), axis=-1))
 
 
 def product_half(
@@ -197,7 +203,26 @@ def random_rough_state(grid: GridSpec, sigma: float, seed: int, target_l2: float
         raise ValueError(f"sigma must exceed 1/2, got {sigma}")
     if target_l2 <= 0:
         raise ValueError(f"target_l2 must be positive, got {target_l2}")
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=grid.K)
-    half = power_decay(grid.K, sigma) * np.exp(1j * phases)  # k = 1..K
-    raw = CoefSeq(grid, np.concatenate(([0.0], half)))
-    return raw.with_coef(raw.coef * (target_l2 / raw.l2()))
+    coef = np.empty((1, grid.size), dtype=np.complex128)
+    return CoefSeq(grid, rough_spectra(grid.K, [sigma], [seed], [target_l2], coef)[0])
+
+
+def rough_spectra(K: int, sigmas, seeds, targets, out: np.ndarray) -> np.ndarray:
+    """Fill row i of out, shape (n, K + 1), with the coefficients of
+    random_rough_state(GridSpec(K), sigmas[i], seeds[i], targets[i]) (whose
+    arguments it does not check) and return out.
+
+    Only the per-row draws, the phases and the scalar powers of
+    :func:`power_decay`, run row by row; the rest is elementwise over the
+    block or a reduction along its rows, so each row is the one-row result
+    bit for bit.
+    """
+    n = len(seeds)
+    phases, amplitudes = np.empty((n, K)), np.empty((n, K))
+    for i, (sigma, seed) in enumerate(zip(sigmas, seeds)):
+        phases[i] = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=K)
+        amplitudes[i] = power_decay(K, sigma)  # k = 1..K
+    out[:, 0] = 0.0
+    np.multiply(amplitudes, np.exp(1j * phases), out=out[:, 1:])
+    out *= (np.asarray(targets, dtype=np.float64) / sobolev_norms(out, 0.0))[:, None]
+    return out

@@ -54,6 +54,12 @@ BAD_CONFIG_VALUES = [
     ("smoothing", "forcing.profile=cosine gamma=1e-320"),
     ("kdv-limit", "forcing.profile=cosine gamma=1e-320"),
     ("kdv-limit", "init.mode=500"),
+    # an s whose H^s weight K^(2s) overflows at the run's largest K
+    ("envelope", "T=5 grid.k=16 s.values=[130]"),
+    ("kdv-limit", "T=1 grid.k=16 s.values=[130]"),
+    ("smoothing", "T=0.1 ladder.k=[8,16,32] s.values=[200]"),
+    ("smoothing", "T=0.1 ladder.k=[8,16,512] s.values=[0.5,57]"),
+    ("attractor", "T=10 gamma=1.0 grid.k=16 s.values=[130]"),
     ("estimate-constants", "s.values=[0.5,1.0]"),
     # A4's restart, A9's window and A9's member norms are fixed, not keys
     ("smoothing", "restart.fraction=2"),
@@ -368,6 +374,26 @@ class TestDispatch:
         out = tmp_path / "run"
         assert run_cli(command, "--out", str(out), "--quiet", *as_argv(override)) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, override, K", [
+        ("smoothing", "T=0.1 ladder.k=[8,16,512] s.values=[0.5,57]", 512),
+        ("envelope", "T=5 grid.k=16 s.values=[130]", 16),
+    ])
+    def test_overflowing_sobolev_weight_names_the_largest_k(
+            self, tmp_path, capsys, monkeypatch, command, override, K):
+        # 57 overflows 512^(2s) but not 16^(2s): the largest K decides, and
+        # the run stops before it steps
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(fdkdv.experiments, "evolve", no_stepping)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, "--out", str(tmp_path / "run"), *as_argv(override))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "s.values" in err and f"at K = {K}" in err
+        assert not (tmp_path / "run").exists()
 
     def test_solver_failure_prints_only_the_solver_line(self, tmp_path, capsys):
         # the blow-up's overflow raises no numpy warning on the way

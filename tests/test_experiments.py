@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 
 import fdkdv.experiments
 from fdkdv.experiments import (
+    CUBIC_TRIAL_BLOCK,
     DEFAULT_ENVELOPE_SUITE,
     ConfigError,
     RunConfig,
     RunReport,
     build_field,
+    cubic_bound_trials,
     default_attractor_config,
     default_kdv_limit_config,
     default_residual_configs,
@@ -27,7 +30,8 @@ from fdkdv.experiments import (
 )
 from fdkdv.cli import parse_and_dispatch
 from fdkdv.flow import FlowParams, StepFailureError, evolve, evolve_batch
-from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state
+from fdkdv.normal_form import resonant_cubic
+from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
 
 
 def assert_horizon_failure(report, diagnostic, trajectories=()):
@@ -459,3 +463,69 @@ class TestResidualConfigs:
         cfgs = default_residual_configs()
         assert len(cfgs) == 3
         assert len({c.hash() for c in cfgs}) == 3
+
+
+def per_trial_cubic_bound(K, s_values, trials, seed):
+    """cubic_bound_trials one CoefSeq at a time, as the constant estimates
+    ran it before the trials were blocked: the reference it must match."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(K)
+    violations, worst = 0, 0.0
+    for _ in range(trials):
+        sigma = rng.uniform(0.55, 2.0)
+        target = rng.uniform(0.1, 4.0)
+        state = random_rough_state(grid, sigma, seed=int(rng.integers(2**31)), target_l2=target)
+        for s in s_values:
+            ratio = sobolev_norm(resonant_cubic(state), s) / state.l2() ** 3
+            worst = max(worst, ratio)
+            if ratio > 1.0:
+                violations += 1
+    return violations, worst
+
+
+class TestCubicBoundTrials:
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    @pytest.mark.parametrize("trials", [1, CUBIC_TRIAL_BLOCK - 1, CUBIC_TRIAL_BLOCK + 1, 2000])
+    def test_matches_the_per_trial_loop(self, trials, s):
+        violations, worst = cubic_bound_trials(32, (s,), trials, seed=trials)
+        want_violations, want_worst = per_trial_cubic_bound(32, (s,), trials, seed=trials)
+        assert violations == want_violations
+        assert abs(worst - want_worst) <= 1e-15 * want_worst
+
+    def test_counts_violations_like_the_per_trial_loop(self):
+        # the bound fails far above s = 1, so the count is nonzero here
+        got = cubic_bound_trials(64, (0.5, 5.0, 6.0), 300, seed=9)
+        want = per_trial_cubic_bound(64, (0.5, 5.0, 6.0), 300, seed=9)
+        assert 0 < got[0] == want[0] < 600
+        assert got[1] == pytest.approx(want[1], rel=1e-15)
+
+    def test_trial_fields_are_random_rough_states(self, monkeypatch):
+        fill = fdkdv.experiments.rough_spectra
+        blocks = []
+
+        def recording(K, sigmas, seeds, targets, out):
+            blocks.append(fill(K, sigmas, seeds, targets, out).copy())
+            return blocks[-1]
+
+        monkeypatch.setattr(fdkdv.experiments, "rough_spectra", recording)
+        cubic_bound_trials(16, (0.5,), 3, seed=21)
+        rng = np.random.default_rng(21)
+        for row in blocks[0]:
+            sigma, target = rng.uniform(0.55, 2.0), rng.uniform(0.1, 4.0)
+            state = random_rough_state(GridSpec(16), sigma, int(rng.integers(2**31)), target)
+            assert row.tobytes() == state.coef.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_trial_count(self):
+        K = 64
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                cubic_bound_trials(K, (0.5, 0.9), trials, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cubic_bound_trials(K, (0.5,), 1, seed=0)  # numpy.random imports on first use
+        block_bytes = CUBIC_TRIAL_BLOCK * (K + 1) * 16
+        assert abs(peak(4096) - peak(512)) < block_bytes

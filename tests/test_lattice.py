@@ -295,3 +295,41 @@ class TestBilinearMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bilinear_constant_ladder([1], 0.5, trials=5, seed=0) == [0.0]
+
+
+class TestMaximizer:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("K", [2, 8, 17])
+    def test_attains_the_top_singular_value(self, K, s):
+        # np.linalg.svd is the oracle for the eigensolve of M^T M
+        from fdkdv.lattice import _bilinear_matrix, _maximizer, _random_hermitian
+        from fdkdv.spectral import GridSpec
+
+        rng = np.random.default_rng(100 + K)
+        for _ in range(3):
+            v = _random_hermitian(GridSpec(K), rng)
+            m = _bilinear_matrix(v, s)
+            top = np.linalg.svd(m, compute_uv=False)[0]
+            u = _maximizer(v, s)
+            assert u.l2() == pytest.approx(np.sqrt(2.0), rel=1e-14)
+            x = np.concatenate((u.coef[1:].real, u.coef[1:].imag))
+            assert abs(np.linalg.norm(m @ x) - top) <= 1e-12 * top
+
+    def test_double_top_value_keeps_the_two_mode_basin(self):
+        # on mode 1 alone the top singular value is double (u and i u_k tie):
+        # the maximizer nearest v climbs to 0.19245; the other one to 0.18363
+        ladder = bilinear_constant_ladder([8, 16], 0.5, trials=0)
+        assert ladder == pytest.approx([0.19242124123022, 0.19245008802068], rel=1e-12)
+
+    def test_finite_state_at_k_one(self):
+        # M = 0 at K = 1: every unit vector is a maximizer, and a finite one
+        # of norm sqrt(2) is returned
+        from fdkdv.lattice import _maximizer
+        from fdkdv.spectral import CoefSeq, GridSpec
+
+        v = CoefSeq.from_modes(GridSpec(1), {1: 0.3 - 0.8j})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _maximizer(v, 0.5)
+        assert np.all(np.isfinite(u.coef.view(np.float64)))
+        assert u.l2() == pytest.approx(np.sqrt(2.0), rel=1e-14)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fdkdv.normal_form
 from fdkdv.experiments import (
     default_residual_configs,
     forcing_for,
@@ -13,7 +14,9 @@ from fdkdv.experiments import (
 from fdkdv.flow import FlowParams, evolve, step
 from fdkdv.normal_form import (
     NormalFormFrame,
+    _full_spectrum,
     _identity_rhs,
+    _resonant_sums,
     _resonant_cubic_banded,
     _twisted_antiderivative,
     nonresonant_cubic,
@@ -319,7 +322,46 @@ class TestResonantCubicBanded:
         assert np.max(np.abs(cubic[8:] - split)) < 1e-14
 
 
+def resonant_sums_oracle(u):
+    """_resonant_sums by brute force: every triple (k1, k2, k3) of the whole
+    in-band lattice for each k, masked to the resonant ones; O(K^3)."""
+    K = u.grid.K
+    c = _full_spectrum(u.coef)
+    k1v = np.arange(-K, K + 1)
+    K1, K2 = np.meshgrid(k1v, k1v, indexing="ij")
+    inv1 = np.zeros(2 * K + 1)
+    inv1[k1v != 0] = 1.0 / k1v[k1v != 0]
+    W1 = inv1[K1 + K] * c[K1 + K]
+    sums = np.zeros(c.size, dtype=np.complex128)
+    for k in range(-K, K + 1):
+        if k == 0:
+            continue
+        K3 = k - K1 - K2
+        valid = (np.abs(K3) <= K) & (K3 != 0) & (K1 != 0) & (K2 != 0) & (K2 + K3 != 0)
+        resonant = valid & (((K1 + K2) == 0) | ((K1 + K3) == 0))
+        if not resonant.any():
+            continue
+        U3 = c[np.where(resonant, K3 + K, 0)]
+        sums[k + K] = (W1 * c[K2 + K] * U3)[resonant].sum()
+    return sums
+
+
 class TestResonantCancellation:
+    @pytest.mark.parametrize("K", [1, 2, 5, 16])
+    def test_resonant_sums_match_the_triple_enumeration(self, K):
+        for seed in range(3):
+            u = hermitian_state(GridSpec(K), seed=40 + seed)
+            u = u.with_coef(u.coef / u.l2())
+            got = _resonant_sums(u.coef)
+            assert np.max(np.abs(got - resonant_sums_oracle(u))) <= 1e-15, (K, seed)
+
+    def test_resonant_sums_in_row_blocks(self, monkeypatch):
+        # more output modes than one block: the blocks tile -K..K exactly
+        u = hermitian_state(GridSpec(16), seed=44)
+        whole = _resonant_sums(u.coef)
+        monkeypatch.setattr(fdkdv.normal_form, "_RESONANT_ROWS", 5)
+        assert np.array_equal(_resonant_sums(u.coef), whole)
+
     def test_random_hermitian_residual_roundoff(self):
         u = random_rough_state(GridSpec(16), 0.8, seed=16, target_l2=1.0)
         assert resonant_cancellation_residual(u) < 1e-12
