@@ -23,22 +23,31 @@ about as much as a transform, and the results are the wrappers' bit for
 bit.  A single run is a batch of one, and each member of a fixed-step
 batch is bit-identical to its solo run.
 
-The stages allocate nothing.  The kernel for one (params, h, M)
-owns its work arrays: a physical buffer (M, P) and a spectrum (M, P//2+1)
-that product_half computes in, four stage results and two temporaries;
-kernels for other step sizes of the same batch share them.
-Every other operation is an in-place ufunc.  Each in-place operation is one
-of the plain expressions quoted in the kernel, applied to the same operands
-in the same order, so every state is bit-identical to the plain
-expressions' result; ``tests/test_flow.py`` pins this against an allocating
-copy of them.  :func:`evolve_batch` steps its batch in place and checks
-the norm and finiteness of every state before it is recorded.
+No stage forms the nonlinear term N(c) = -(i k / 2)(u^2)_k + f_k.  Each
+stage input and the step's output are the state times its linear factor,
+plus per-mode weights times the raw squares y = (u^2)_k, plus a constant
+per mode: the convective factor -i k / 2 and the forcing are folded into
+weights made once per step size.  The stages allocate nothing.  The kernel
+for one (params, h, M) owns its work arrays: a physical buffer (M, P), one
+spectrum (M, P//2+1) per stage that product_half squares into (so the four
+squares live side by side) and three temporaries; kernels for other step
+sizes of the same batch share them.  Every other operation is an in-place
+ufunc.  Each in-place operation is one of the folded expressions quoted in
+the kernel, applied to the same operands in the same order, so every state
+is bit-identical to those expressions' result; ``tests/test_flow.py`` pins
+this against an allocating copy of them, and holds the folded step to the
+N-form scheme at roundoff.
 
-A step is the stage N(c), which does not depend on the step size, then
-the stages that do.  After N(c) the physical buffer holds u(x)^2 of every
-member, so max|u| costs one reduction.  ``evolve_batch(..., coarsen=True)``
-uses it to take, at each step, the longest step h * 2^j whose convective
-number (h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
+A step is the square of the state, which does not depend on the step
+size, then the stages that do.  After the square the physical buffer holds
+u(x)^2 of every member, so max|u| costs one reduction, and the square's
+k = 0 slot is (u^2)_0 = sum_k |u_k|^2 = ||u||^2.  :func:`evolve_batch`
+steps its batch in place and takes every dense l2 norm from that slot; it
+checks the stored norms for finiteness before each recorded state and at
+the end, and sums the norm of the final state, which starts no step,
+directly.  ``evolve_batch(..., coarsen=True)`` uses max|u| to take, at
+each step, the longest step h * 2^j whose convective number
+(h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
 that divide the sampling stride and start on a multiple of 2^j: every
 sample lands on its fixed-step time, and h becomes the finest step.  Only
 the attractor probe under ETDRK4 coarsens; every other run, and every
@@ -181,8 +190,11 @@ class _Stepper:
     acting on half spectra of shape (M, K+1): modes k = 0..K, one row per
     batch member.  The k = 0 slot of every output is zero.
 
-    A step is :meth:`first`, the stage N(c), which does not depend on h,
-    then :meth:`finish`, the stages that do.  The stages compute into work
+    A step is :meth:`first`, the square of the state, which does not depend
+    on h, then :meth:`finish`, the stages that do.  The stages use the raw
+    squares y = (u^2)_k: the convective factor -i k / 2 and the forcing are
+    folded into the per-mode weights that :meth:`_set_step` makes, so
+    N = -(i k / 2) y + f is never formed.  The stages compute into work
     arrays made here once; :meth:`at_step` gives a kernel for another step
     size that shares them.  Each scheme performs the operations of the
     expressions quoted in its comment, in the same order, so the buffering
@@ -191,27 +203,35 @@ class _Stepper:
 
     def __init__(self, params: FlowParams, h: float, M: int):
         g = params.grid
-        self._lam, self.convect = _symbols(g, params.gamma)
+        self._lam, self._convect = _symbols(g, params.gamma)
         self._scheme = params.scheme
-        self.forcing = params.forcing.coef
+        self._forcing = params.forcing.coef
         self.grid = g
         self._phys = np.empty((M, g.P))
-        self._spec = np.empty((M, g.P // 2 + 1), dtype=np.complex128)
-        self._n = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(4)]
-        self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(2)]
+        # one spectrum per stage square; finish reads the first square, which
+        # first() left there, through _y1
+        self._spec = [np.empty((M, g.P // 2 + 1), dtype=np.complex128) for _ in range(4)]
+        self._y1 = self._spec[0][:, : g.K + 1]
+        self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(3)]
         self._set_step(h)
 
     def _set_step(self, h: float) -> None:
-        lam = self._lam
+        lam, cv, f = self._lam, self._convect, self._forcing
         self.h = h
-        self.E = np.exp(lam * (h / 2.0))
-        self.E2 = np.exp(lam * h)
+        self.E = E = np.exp(lam * (h / 2.0))
+        self.E2 = E2 = np.exp(lam * h)
+        # N = cv * y + f, so a scheme's weight w on N becomes the weight
+        # w * cv on the square y (C, QC, W) plus the constant w * f (F, QF, Fs)
         if self._scheme == "etdrk4":
-            self.Q, self.f1, f2, self.f3 = _etdrk4_coeffs(lam, h)
-            self.f2x2 = 2.0 * f2
-            self._finish = self._etdrk4
+            Q, f1, f2, f3 = _etdrk4_coeffs(lam, h)
+            self.QC, self.QF = Q * cv, Q * f
+            self.W = (f1 * cv, (2.0 * f2) * cv, f3 * cv)
+            self.Fs = (f1 + 4.0 * f2 + f3) * f
         else:
-            self._finish = self._ifrk4
+            self.C = ((h / 2.0) * E * cv, (h / 2.0) * cv, h * E * cv)
+            self.F = ((h / 2.0) * E * f, (h / 2.0) * f, h * E * f)
+            self.W = ((h / 6.0) * E2 * cv, (h / 3.0) * E * cv, (h / 6.0) * cv)
+            self.Fs = (h / 6.0) * (E2 + 4.0 * E + 1.0) * f
 
     def at_step(self, h: float) -> "_Stepper":
         """The kernel for step size h on the same params and batch, sharing
@@ -220,18 +240,15 @@ class _Stepper:
         other._set_step(h)
         return other
 
-    def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Quadratic + forcing part of du/dt, -(i k / 2)(u*u)_k + f_k, written
-        to out (which may be c); zero at k = 0 because f is mean-zero.  The
-        product is computed in the work arrays."""
-        uu = product_half(c, c, self.grid, phys=self._phys, spec=self._spec)
-        np.multiply(self.convect, uu, out=out)
-        return np.add(out, self.forcing, out=out)
+    def _square(self, a: np.ndarray, stage: int) -> np.ndarray:
+        """(u^2)_k, k = 0..K, of the fields a, into the stage's spectrum."""
+        return product_half(a, a, self.grid, phys=self._phys, spec=self._spec[stage])
 
-    def first(self, c: np.ndarray) -> None:
-        """The first stage N(c), shared by every step size.  Until the next
-        stage runs, the physical buffer holds u(x)^2 of every member."""
-        self.nonlinear(c, self._n[0])
+    def first(self, c: np.ndarray) -> np.ndarray:
+        """The square (u^2)_k, k = 0..K, of every member, the first stage of
+        every step size; returns it.  Its k = 0 slot is sum_k |u_k|^2 = ||u||^2.
+        Until the next stage runs, the physical buffer holds u(x)^2."""
+        return self._square(c, 0)
 
     def max_abs_u(self) -> float:
         """max |u(x)| over the batch, read from the physical buffer that
@@ -242,56 +259,59 @@ class _Stepper:
         """The rest of the step from c after :meth:`first` (by this kernel or
         one sharing its work arrays), written to out; returns out.  out may
         be c: the stages read c before the last operation writes out."""
-        self._finish(c, out)
+        # dispatched here, not through a bound method stored on self: that
+        # would be a reference cycle, and the kernel's work arrays would
+        # outlive the run until the cyclic collector found them
+        if self._scheme == "etdrk4":
+            self._etdrk4(c, out)
+        else:
+            self._ifrk4(c, out)
         out[:, 0] = 0.0
         return out
 
-    def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One step from c, written to out; returns out (which may be c)."""
-        self.first(c)
-        return self.finish(c, out)
-
     def _ifrk4(self, c, out):
-        # cE2 = c * E2
-        # n1 = N(c)                       (first)
-        # n2 = N((c + (h / 2) * n1) * E)
-        # n3 = N(c * E + (h / 2) * n2)
-        # n4 = N(cE2 + h * (n3 * E))
-        # out = cE2 + (h / 6) * (n1 * E2 + 2 * ((n2 + n3) * E) + n4)
+        # cE, cE2 = c * E, c * E2
+        # y1 = (c^2)_k                    (first)
+        # y2 = sq(cE + C1 * y1 + F1)
+        # y3 = sq(cE + C2 * y2 + F2)
+        # y4 = sq(cE2 + C3 * y3 + F3)
+        # out = cE2 + W1 * y1 + W23 * (y2 + y3) + W4 * y4 + Fs
         # The state multiplies the factor from the left throughout so that
         # the pure semigroup case reproduces linear_flow bit for bit.
-        N, h, E, E2 = self.nonlinear, self.h, self.E, self.E2
-        mul, add = np.multiply, np.add
-        n1, n2, n3, n4 = self._n
-        a, cE2 = self._tmp
-        N(mul(add(c, mul(h / 2.0, n1, out=a), out=a), E, out=a), n2)
-        N(add(mul(c, E, out=a), mul(h / 2.0, n2, out=n3), out=n3), n3)
-        mul(c, E2, out=cE2)
-        N(add(cE2, mul(h, mul(n3, E, out=n4), out=n4), out=n4), n4)
-        mul(2.0, mul(add(n2, n3, out=a), E, out=a), out=a)
-        add(add(mul(n1, E2, out=n1), a, out=a), n4, out=a)
-        add(cE2, mul(h / 6.0, a, out=a), out=out)
+        (C1, C2, C3), (F1, F2, F3), (W1, W23, W4) = self.C, self.F, self.W
+        mul, add, sq = np.multiply, np.add, self._square
+        y1, a = self._y1, self._tmp[2]
+        cE, cE2 = mul(c, self.E, out=self._tmp[0]), mul(c, self.E2, out=self._tmp[1])
+        y2 = sq(add(add(cE, mul(C1, y1, out=a), out=a), F1, out=a), 1)
+        y3 = sq(add(add(cE, mul(C2, y2, out=a), out=a), F2, out=a), 2)
+        y4 = sq(add(add(cE2, mul(C3, y3, out=a), out=a), F3, out=a), 3)
+        add(cE2, mul(W1, y1, out=a), out=cE2)
+        add(cE2, mul(W23, add(y2, y3, out=a), out=a), out=cE2)
+        add(cE2, mul(W4, y4, out=a), out=cE2)
+        add(cE2, self.Fs, out=out)
 
     def _etdrk4(self, c, out):
-        # n0 = N(c)                       (first)
-        # ch = c * E
-        # a = ch + Q * n0
-        # na = N(a)
-        # nb = N(ch + Q * na)
-        # nc = N(a * E + Q * (2 * nb - n0))
-        # out = c * E2 + f1 * n0 + (2 * f2) * (na + nb) + f3 * nc
-        N, E, Q = self.nonlinear, self.E, self.Q
-        mul, add = np.multiply, np.add
-        n0, na, nb, nc = self._n
-        ch, a = self._tmp
-        mul(c, E, out=ch)
-        N(add(ch, mul(Q, n0, out=a), out=a), na)
-        N(add(ch, mul(Q, na, out=nb), out=nb), nb)
-        mul(Q, np.subtract(mul(2.0, nb, out=nc), n0, out=nc), out=nc)
-        N(add(mul(a, E, out=ch), nc, out=nc), nc)
-        add(mul(c, self.E2, out=ch), mul(self.f1, n0, out=a), out=ch)
-        add(ch, mul(self.f2x2, add(na, nb, out=a), out=a), out=ch)
-        add(ch, mul(self.f3, nc, out=a), out=out)
+        # cE = c * E
+        # y0 = (c^2)_k                    (first)
+        # a = cE + QC * y0 + QF
+        # ya = sq(a)
+        # yb = sq(cE + QC * ya + QF)
+        # yc = sq(a * E + QC * (2 * yb - y0) + QF)
+        # out = c * E2 + W0 * y0 + Wab * (ya + yb) + Wc * yc + Fs
+        E, QC, QF, (W0, Wab, Wc) = self.E, self.QC, self.QF, self.W
+        mul, add, sq = np.multiply, np.add, self._square
+        y0 = self._y1
+        cE, a, b = self._tmp
+        mul(c, E, out=cE)
+        ya = sq(add(add(cE, mul(QC, y0, out=a), out=a), QF, out=a), 1)
+        yb = sq(add(add(cE, mul(QC, ya, out=b), out=b), QF, out=b), 2)
+        mul(QC, np.subtract(mul(2.0, yb, out=b), y0, out=b), out=b)
+        yc = sq(add(add(mul(a, E, out=a), b, out=a), QF, out=a), 3)
+        mul(c, self.E2, out=cE)
+        add(cE, mul(W0, y0, out=a), out=cE)
+        add(cE, mul(Wab, add(ya, yb, out=a), out=a), out=cE)
+        add(cE, mul(Wc, yc, out=a), out=cE)
+        add(cE, self.Fs, out=out)
 
 
 def _batch(states, grid: GridSpec) -> np.ndarray:
@@ -302,16 +322,27 @@ def _batch(states, grid: GridSpec) -> np.ndarray:
     return np.stack([u.coef for u in states])
 
 
+def _raise_first_failure(sq: np.ndarray, times) -> None:
+    """Raise StepFailureError if sq, one row of per-member squared norms per
+    state at times[row], holds a non-finite value: name the time of the
+    first such row and the first non-finite member in it."""
+    ok = np.isfinite(sq)
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=1)))
+        m = int(np.argmin(ok[row]))
+        raise StepFailureError(times[row], m, f"batch member {m}" if sq.shape[1] > 1 else "")
+
+
 def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
     """Per-member sum_{k >= 1} |c_k|^2 of a half-spectrum batch (half the
-    squared l2 norm).  A non-finite state gives a non-finite sum, so this is
-    also the solver's finiteness check: it raises StepFailureError naming the
-    first failing member and the time t."""
+    squared l2 norm), for a state that starts no step: the one :func:`step`
+    returns and the last of an :func:`evolve_batch` run (every earlier state's
+    norm is the k = 0 slot of its step's first square).  A non-finite state
+    gives a non-finite sum, so this also checks finiteness: it raises
+    StepFailureError naming the first failing member and the time t."""
     v = c[:, 1:].view(np.float64)
     sq = np.einsum("ij,ij->i", v, v)
-    if not np.isfinite(sq).all():
-        m = int(np.argmin(np.isfinite(sq)))
-        raise StepFailureError(t, m, f"batch member {m}" if len(c) > 1 else "")
+    _raise_first_failure(sq[None], (t,))
     return sq
 
 
@@ -320,7 +351,6 @@ def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
     g = params.grid
     lam, convect = _symbols(g, params.gamma)
     c = _batch((u,), g)
-    # the forcing joins the quadratic term first, as in the stepper's N
     d = lam * c + (convect * product_half(c, c, g) + params.forcing.coef)
     d[:, 0] = 0.0
     return CoefSeq(g, d[0])
@@ -335,8 +365,10 @@ def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> Co
     """
     h = params.h if h is None else h
     c = _batch((u,), params.grid)
+    kernel = _Stepper(params, h, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        out = _Stepper(params, h, 1)(c, c)
+        kernel.first(c)
+        out = kernel.finish(c, c)
         _half_sq_norms(out, t + h)
     return CoefSeq(params.grid, out[0])
 
@@ -350,7 +382,10 @@ def evolve_batch(
     Without coarsen, each member's record is bit-identical to its
     :func:`evolve` run.  A non-finite member stops the whole batch with
     StepFailureError carrying the time of its first non-finite state and
-    the member's index; no state after that time is recorded.
+    the member's index; no state after that time is recorded.  The dense
+    l2 norm of each state is the k = 0 slot of the first square of the
+    step it starts, checked for finiteness at each sample and at the end;
+    only the final state's norm is summed directly.
 
     With coarsen, params.h is the finest step.  At step index i (in units
     of h) the batch takes the longest step n * h, n = 2^j, for which n
@@ -379,6 +414,19 @@ def evolve_batch(
 
     times = [0.0]
     states = [[u0] for u0 in u0s]
+    # time and squared l2 norms of every dense state; rows before `checked`
+    # are known to be finite
+    dense_t = np.empty(n_full + 2)
+    sq = np.empty((n_full + 2, M))
+    dense_t[0] = 0.0
+    checked = 0
+
+    def check(upto):
+        # before a state is recorded: no record may outlive an earlier
+        # failure, and CoefSeq rejects a non-finite state
+        nonlocal checked
+        _raise_first_failure(sq[checked:upto], dense_t[checked:upto])
+        checked = upto
 
     def record(t, c):
         times.append(t)
@@ -395,42 +443,40 @@ def evolve_batch(
     counts = dict.fromkeys(kernels, 0)
     conv_per_h = h * g.K
     worst = 0.0
-    # step index (units of h) and half squared norms of every dense state
-    index = np.zeros(n_full + 2, dtype=np.int64)
-    sq = np.empty((n_full + 2, M))
-    sq[0] = _half_sq_norms(coef, 0.0)
     steps = i = 0
     # the batch is stepped in place; CoefSeq copies the rows it records
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         while i < n_full:
+            sq[steps] = kernel.first(coef)[:, 0].real
+            if i and i % sample_every == 0:
+                check(steps + 1)
+                record(i * h, coef)
             if coarsen:
-                kernel.first(coef)
                 conv = conv_per_h * kernel.max_abs_u()
                 n = top
                 while n > 1 and (i % n or i + n > n_full or not n * conv <= CONVECTIVE_LIMIT):
                     n //= 2
                 worst = max(worst, n * conv)
-                kernels[n].finish(coef, coef)
             else:
                 n = 1
-                kernel(coef, coef)
+            kernels[n].finish(coef, coef)
             i += n
             steps += 1
             counts[n] += 1
-            index[steps] = i
-            sq[steps] = _half_sq_norms(coef, i * h)
-            if i % sample_every == 0 and not (i == n_full and h_last == 0.0):
-                record(i * h, coef)
-        dense_t = index[: steps + 1] * h
+            dense_t[steps] = i * h
         if h_last > 0.0:
             last = kernel.at_step(h_last)
-            last.first(coef)
+            sq[steps] = last.first(coef)[:, 0].real
+            if i and i % sample_every == 0:
+                check(steps + 1)
+                record(i * h, coef)
             if coarsen:
                 worst = max(worst, h_last * g.K * last.max_abs_u())
             last.finish(coef, coef)
             steps += 1
-            sq[steps] = _half_sq_norms(coef, T)
-            dense_t = np.append(dense_t, T)
+            dense_t[steps] = T
+        check(steps)
+        sq[steps] = 2.0 * _half_sq_norms(coef, T)
     record(T, coef)
 
     step_counts = {n * h: counts[n] for n in sorted(counts) if counts[n]}
@@ -440,7 +486,7 @@ def evolve_batch(
         TrajectoryRecord(
             times=np.array(times), states=tuple(member),
             gamma=params.gamma, forcing_l2=params.forcing.l2(),
-            dense_times=dense_t.copy(), dense_l2=np.sqrt(2.0 * sq[: steps + 1, m]),
+            dense_times=dense_t[: steps + 1].copy(), dense_l2=np.sqrt(sq[: steps + 1, m]),
             step_counts=dict(step_counts), max_convective=worst if coarsen else None,
         )
         for m, member in enumerate(states)

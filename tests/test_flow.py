@@ -1,4 +1,7 @@
+import gc
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,13 +36,16 @@ def full(u):
 
 @pytest.fixture
 def linear_only(monkeypatch):
-    """Switch the quadratic term off: du/dt = (i k^3 - gamma) u + f."""
+    """Switch the quadratic term off, du/dt = (i k^3 - gamma) u + f, by
+    zeroing every square the stepper takes."""
+    square = flow.product_half
 
-    def forcing_only(self, c, out):
-        out[...] = self.forcing
-        return out
+    def no_square(*args, **kwargs):
+        y = square(*args, **kwargs)
+        y[...] = 0.0
+        return y
 
-    monkeypatch.setattr(flow._Stepper, "nonlinear", forcing_only)
+    monkeypatch.setattr(flow, "product_half", no_square)
 
 
 class TestLinearMultiplier:
@@ -410,10 +416,51 @@ class TestEvolveBatch:
             evolve_batch((CoefSeq.cosine(GridSpec(9)),), 0.1, params)
 
 
-# Allocating reference on half-spectrum batches: the stepper's expressions
-# written out with one numpy temporary per operation, and a norm check after
-# every step.  The buffered solver must match it bit for bit.
+# Allocating reference on half-spectrum batches: the stepper's folded
+# expressions written out with one numpy temporary per operation.  The
+# buffered solver must match it bit for bit.
 def ref_step(c, params, h):
+    g = params.grid
+    k = np.arange(g.K + 1, dtype=np.float64)
+    lam = 1j * k**3 - params.gamma
+    cv, f = -0.5j * k, params.forcing.coef
+    E, E2 = np.exp(lam * (h / 2.0)), np.exp(lam * h)
+
+    def sq(c):
+        return product_half(c, c, g)
+
+    if params.scheme == "ifrk4":
+        C1, F1 = (h / 2.0) * E * cv, (h / 2.0) * E * f
+        C2, F2 = (h / 2.0) * cv, (h / 2.0) * f
+        C3, F3 = h * E * cv, h * E * f
+        W1, W23, W4 = (h / 6.0) * E2 * cv, (h / 3.0) * E * cv, (h / 6.0) * cv
+        Fs = (h / 6.0) * (E2 + 4.0 * E + 1.0) * f
+        cE, cE2 = c * E, c * E2
+        y1 = sq(c)
+        y2 = sq(cE + C1 * y1 + F1)
+        y3 = sq(cE + C2 * y2 + F2)
+        y4 = sq(cE2 + C3 * y3 + F3)
+        out = cE2 + W1 * y1 + W23 * (y2 + y3) + W4 * y4 + Fs
+    else:
+        Q, f1, f2, f3 = _etdrk4_coeffs(lam, h)
+        QC, QF = Q * cv, Q * f
+        W0, Wab, Wc = f1 * cv, 2.0 * f2 * cv, f3 * cv
+        Fs = (f1 + 4.0 * f2 + f3) * f
+        cE = c * E
+        y0 = sq(c)
+        a = cE + QC * y0 + QF
+        ya = sq(a)
+        yb = sq(cE + QC * ya + QF)
+        yc = sq(a * E + QC * (2.0 * yb - y0) + QF)
+        out = c * E2 + W0 * y0 + Wab * (ya + yb) + Wc * yc + Fs
+    out[:, 0] = 0.0
+    return out
+
+
+# The same step as the schemes are published, with N(c) = -(i k / 2)(u^2)_k
+# + f_k formed at every stage: the oracle the folded step must meet to
+# roundoff.
+def n_form_step(c, params, h):
     g = params.grid
     k = np.arange(g.K + 1, dtype=np.float64)
     lam = 1j * k**3 - params.gamma
@@ -441,6 +488,11 @@ def ref_step(c, params, h):
         out = c * E2 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
     out[:, 0] = 0.0
     return out
+
+
+def ref_sq_norms(c, params):
+    """Squared l2 norms of a batch as the k = 0 slots of its squares."""
+    return product_half(c, c, params.grid)[:, 0].real
 
 
 def ref_half_sq(c):
@@ -492,14 +544,83 @@ class TestBufferedKernelOracle:
         ref = list(ref_steps(c0, params, T))
         assert len(ref) == n_full + 1 and ref[-1][1] == T
         sampled = [r for r in ref[:-1] if r[0] % 37 == 0] + [ref[-1]]
-        dense_sq = np.array([ref_half_sq(c0)] + [ref_half_sq(c) for _, _, c in ref])
+        # each state's norm comes from the first square of the step it
+        # starts; the final state starts none and is summed directly
+        dense_sq = np.array(
+            [ref_sq_norms(c0, params)] + [ref_sq_norms(c, params) for _, _, c in ref[:-1]]
+            + [2.0 * ref_half_sq(ref[-1][2])]
+        )
         for m, traj in enumerate(evolve_batch(u0s, T, params, sample_every=37)):
             assert np.array_equal(traj.times, [0.0] + [t for _, t, _ in sampled])
             assert np.array_equal(traj.dense_times, [0.0] + [t for _, t, _ in ref])
-            assert np.array_equal(traj.dense_l2, np.sqrt(2.0 * dense_sq[:, m]))
+            assert np.array_equal(traj.dense_l2, np.sqrt(dense_sq[:, m]))
             assert np.array_equal(traj.states[0].coef, c0[m])
             for state, (_, _, c) in zip(traj.states[1:], sampled, strict=True):
                 assert np.array_equal(state.coef, c[m])
+
+
+class TestFoldedWeights:
+    """The stages take the raw squares (u^2)_k with -i k / 2 and the forcing
+    folded into their weights; the unfolded N-form scheme is the oracle."""
+
+    @pytest.mark.parametrize("K", [8, 64])
+    @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+    def test_agrees_with_n_form_step(self, scheme, K):
+        g = GridSpec(K)
+        f = random_rough_state(g, 2.0, seed=3, target_l2=0.8)
+        params = FlowParams(gamma=0.6, forcing=f, h=1e-3, scheme=scheme)
+        u0s = [random_rough_state(g, 1.2, seed=seed, target_l2=1.5) for seed in (20, 21, 22)]
+        # states at t = 0.05
+        us = [traj.states[-1] for traj in evolve_batch(u0s, 0.05, params, sample_every=10**9)]
+        c = np.stack([u.coef for u in us])
+        for h in (params.h, 0.37 * params.h):
+            ref = n_form_step(c, params, h)
+            for u, row in zip(us, ref):
+                assert rel_err(step(u, 0.05, params, h).coef, row) <= 1e-13
+        ref = c
+        for _ in range(12):
+            ref = n_form_step(ref, params, params.h)
+        ref = n_form_step(ref, params, 0.5 * params.h)
+        for traj, row in zip(evolve_batch(us, 12.5 * params.h, params, sample_every=5), ref):
+            assert rel_err(traj.states[-1].coef, row) <= 1e-13
+
+
+@pytest.mark.parametrize("coarsen", [False, True])
+@pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+def test_per_step_work_is_four_squares(monkeypatch, scheme, coarsen):
+    # four squares per step, and one direct norm sum per run (the final
+    # state's), not one per step
+    calls = dict.fromkeys(("product_half", "_half_sq_norms"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(flow, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, name, counted)
+    params, members = coarse_case()
+    params = replace(params, scheme=scheme)
+    trajs = evolve_batch(members, 200.5 * params.h, params, sample_every=8, coarsen=coarsen)
+    steps = len(trajs[0].dense_times) - 1
+    assert steps == sum(trajs[0].step_counts.values())
+    assert calls == {"product_half": 4 * steps, "_half_sq_norms": 1}
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+def test_kernels_are_freed_with_their_last_reference(scheme):
+    # no reference cycle: a run's work arrays go when its kernels do, not
+    # when the cyclic collector next runs
+    params = replace(coarse_case()[0], scheme=scheme)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel = flow._Stepper(params, params.h, 2)
+        longer = kernel.at_step(2 * params.h)
+        refs = [weakref.ref(kernel), weakref.ref(longer)]
+        del kernel, longer
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture
@@ -630,6 +751,20 @@ class TestHealthCheck:
         assert ref == (min(j * params.h, T), 1)
         with pytest.raises(StepFailureError) as info:
             evolve_batch(members, T, params)
+        assert (info.value.time, info.value.member) == ref
+
+    @pytest.mark.parametrize("coarsen", [False, True])
+    def test_failure_between_samples_matches_reference(self, blowup_states, coarsen):
+        # at stride 5 the first non-finite state, member 1's at step 7, is
+        # no sample; the check at the sample of step 10 finds it (member 0
+        # fails later, at step 9, also between samples)
+        params, states = blowup_states
+        members = [states[-9], states[-7], states[10]]
+        T = 12 * params.h
+        ref = ref_first_failure(members, params, T)
+        assert ref == (7 * params.h, 1)
+        with pytest.raises(StepFailureError) as info:
+            evolve_batch(members, T, params, sample_every=5, coarsen=coarsen)
         assert (info.value.time, info.value.member) == ref
 
     def test_failing_sampled_state_raises_step_failure(self, blowup_states):

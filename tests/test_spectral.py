@@ -198,6 +198,34 @@ class TestHalfSpectrum:
             assert np.max(np.abs(row - product_oracle(x, y, K))) < 1e-13
 
 
+class TestSquareNormSlot:
+    """The k = 0 slot of a square is (u^2)_0 = sum_k |u_k|^2 = ||u||^2: the
+    stepper takes every dense l2 norm, and its finiteness check, from it."""
+
+    @pytest.mark.parametrize("K", [1, 8, 33, 128])
+    def test_is_the_squared_l2_norm_per_member(self, K):
+        g = GridSpec(K)
+        us = [random_field(g, seed, decay) for seed, decay in ((30, 0.6), (31, 1.0), (32, 2.0))]
+        c = np.stack([u.coef for u in us])
+        for got in (product_half(c, c, g)[:, 0], [product_half(a, a, g)[0] for a in c]):
+            for u, y in zip(us, got, strict=True):
+                assert y.imag == 0.0
+                assert abs(y.real - sobolev_norm(u, 0) ** 2) <= 1e-14 * sobolev_norm(u, 0) ** 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                     complex(np.nan, 0.0)])
+    @pytest.mark.parametrize("K", [1, 8, 33, 128])
+    def test_one_non_finite_coefficient_makes_it_non_finite(self, K, bad):
+        g = GridSpec(K)
+        c = np.stack([random_field(g, seed).coef for seed in (33, 34, 35)])
+        for k in range(1, K + 1):
+            x = c.copy()
+            x[1, k] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                slot = product_half(x, x, g)[:, 0]
+            assert np.isfinite(slot).tolist() == [True, False, True]
+
+
 class TestDirectTransforms:
     """product_half calls numpy's pocketfft gufuncs directly; it must match the
     np.fft expression it replaces bit for bit, and the package's hot paths
