@@ -465,16 +465,12 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj
 
-        i0 = int(np.argmin(np.abs(traj.times - RESTART_FRACTION * cfg.T)))
-        u_restart = traj.states[i0]
+        t, coefs = traj.times, traj.coefs
+        i0 = int(np.argmin(np.abs(t - RESTART_FRACTION * cfg.T)))
         rung = {"u0_hs": u0_hs, "gap_sup": {}, "restart_gap_sup": {}}
-        samples = list(zip(traj.times, traj.states))
         for s in cfg.s_values:
-            gaps = [smoothing_gap(u0, u, float(t), cfg.gamma, s) for t, u in samples]
-            restart = [
-                smoothing_gap(u_restart, u, float(t - traj.times[i0]), cfg.gamma, s)
-                for t, u in samples[i0:]
-            ]
+            gaps = smoothing_gap(u0.coef, coefs, t, cfg.gamma, s)
+            restart = smoothing_gap(coefs[i0], coefs[i0:], t[i0:] - t[i0], cfg.gamma, s)
             rung["gap_sup"][s] = float(np.max(gaps))
             rung["restart_gap_sup"][s] = float(np.max(restart))
         per_rung[K] = rung
@@ -578,9 +574,7 @@ def run_attractor_probe(cfg: RunConfig) -> RunReport:
         if not sel.any():
             return _horizon_failure("attractor_probe", cfg, t0,
                                     f"late-time window is empty for seed={seed}")
-        radii[(seed, target)] = float(
-            np.max([sobolev_norm(u, s) for u, keep in zip(traj.states, sel) if keep])
-        )
+        radii[(seed, target)] = float(np.max(sobolev_norms(traj.coefs[sel], s)))
     vals = np.array(list(radii.values()))
     if f.l2() > 0:
         spread = float(np.max(vals) / np.min(vals))
@@ -656,13 +650,6 @@ def default_residual_configs() -> tuple[RunConfig, ...]:
     )
 
 
-def envelope_suite(configs: tuple[RunConfig, ...] = DEFAULT_ENVELOPE_SUITE) -> list[RunReport]:
-    """Run the envelope check on every config and the absorbing-ball check on
-    every forced config."""
-    reports = [run_energy_envelope(cfg) for cfg in configs]
-    return reports + [run_absorbing_ball(r) for r in reports if r.measured["forcing_l2"] > 0]
-
-
 # Step of the approach to t - dt (dt itself when larger) before the two
 # stencil steps at dt; the ODE is autonomous, so any state of the trajectory
 # near t - dt starts the identity.  Against marching at dt it moved the
@@ -681,8 +668,9 @@ def stencil_states(u0: CoefSeq, params: FlowParams, t: float, dt: float) -> tupl
     max(dt, STENCIL_APPROACH_STEP) (the last one shortened to land there),
     then run two steps of dt from there."""
     approach = replace(params, h=max(dt, STENCIL_APPROACH_STEP))
-    s0 = evolve(u0, t - dt, approach, sample_every=10**9).states[-1]
-    return evolve(s0, 2.0 * dt, replace(params, h=dt)).states
+    s0 = evolve(u0, t - dt, approach, sample_every=10**9).coefs[-1]
+    stencil = evolve(CoefSeq(u0.grid, s0), 2.0 * dt, replace(params, h=dt)).coefs
+    return tuple(CoefSeq(u0.grid, c) for c in stencil)
 
 
 def run_normal_form_residual(cfg: RunConfig) -> RunReport:

@@ -45,8 +45,10 @@ k = 0 slot is (u^2)_0 = sum_k |u_k|^2 = ||u||^2.  :func:`evolve_batch`
 steps its batch in place and takes every dense l2 norm from that slot; it
 checks the stored norms for finiteness before each recorded state and at
 the end, and sums the norm of the final state, which starts no step,
-directly.  ``evolve_batch(..., coarsen=True)`` uses max|u| to take, at
-each step, the longest step h * 2^j whose convective number
+directly.  Each member's samples are one read-only array, whose l2 norms
+are summed from it (the dense slots differ by roundoff).
+``evolve_batch(..., coarsen=True)`` uses max|u| to take, at each step,
+the longest step h * 2^j whose convective number
 (h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
 that divide the sampling stride and start on a multiple of 2^j: every
 sample lands on its fixed-step time, and h becomes the finest step.  Only
@@ -64,7 +66,7 @@ import numpy as np
 
 # sobolev_norm stays bound here: the traced benchmark (bench/tracing.py)
 # patches it on this module.
-from .spectral import CoefSeq, GridSpec, product_half, sobolev_norm  # noqa: F401
+from .spectral import CoefSeq, GridSpec, product_half, sobolev_norm, sobolev_norms  # noqa: F401
 
 
 class StepFailureError(RuntimeError):
@@ -122,9 +124,10 @@ def default_step(K: int) -> float:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled states of one run: strictly increasing times, one CoefSeq each.
+    """Sampled states of one run: strictly increasing times, one row of coefs each.
 
-    l2_norms holds the l2 norm of each sampled state; dense_times /
+    coefs (read-only) holds the half spectrum k = 0..K of each sampled
+    state and l2_norms its l2 norm; dense_times /
     dense_l2 carry the l2 norm at every solver step (states are only kept
     at the sampled times).  step_counts maps each step size the batch took
     to its number of steps; max_convective is the batch's worst
@@ -134,27 +137,22 @@ class TrajectoryRecord:
     """
 
     times: np.ndarray
-    states: tuple[CoefSeq, ...]
+    coefs: np.ndarray = field(repr=False)
     gamma: float
     forcing_l2: float
-    l2_norms: np.ndarray = field(init=False)
+    l2_norms: np.ndarray
     dense_times: np.ndarray = field(repr=False)
     dense_l2: np.ndarray = field(repr=False)
     step_counts: dict
     max_convective: float | None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        if np.any(np.diff(t) <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if len(self.states) != t.size:
-            raise ValueError("times and states length mismatch")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "l2_norms", np.array([s.l2() for s in self.states]))
 
 
-def linear_multiplier(k, t: float, gamma: float):
-    """exp((i k^3 - gamma) t): the exact damped Airy factor for mode k."""
+def linear_multiplier(k, t, gamma: float):
+    """exp((i k^3 - gamma) t): the exact damped Airy factor for modes k at times t."""
     k = np.asarray(k, dtype=np.float64)
     return np.exp((1j * k**3 - gamma) * t)
 
@@ -412,8 +410,9 @@ def evolve_batch(
     if h_last < 1e-12 * max(T, 1.0):
         h_last = 0.0
 
-    times = [0.0]
-    states = [[u0] for u0 in u0s]
+    coef = _batch(u0s, g)
+    buf = np.empty((M, n_full // sample_every + 2, g.size), dtype=np.complex128)
+    times = []  # buf[:, j] is the batch at times[j]
     # time and squared l2 norms of every dense state; rows before `checked`
     # are known to be finite
     dense_t = np.empty(n_full + 2)
@@ -423,17 +422,16 @@ def evolve_batch(
 
     def check(upto):
         # before a state is recorded: no record may outlive an earlier
-        # failure, and CoefSeq rejects a non-finite state
+        # failure or hold a non-finite state
         nonlocal checked
         _raise_first_failure(sq[checked:upto], dense_t[checked:upto])
         checked = upto
 
     def record(t, c):
+        buf[:, len(times)] = c
         times.append(t)
-        for member, row in zip(states, c):
-            member.append(CoefSeq(g, row))
 
-    coef = _batch(u0s, g)
+    record(0.0, coef)
     kernel = _Stepper(params, h, M)
     top = 1  # the longest step in units of h: a power of two dividing sample_every
     while coarsen and sample_every % (2 * top) == 0 and 2 * top <= n_full:
@@ -444,7 +442,7 @@ def evolve_batch(
     conv_per_h = h * g.K
     worst = 0.0
     steps = i = 0
-    # the batch is stepped in place; CoefSeq copies the rows it records
+    # the batch is stepped in place; record copies it
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
         while i < n_full:
             sq[steps] = kernel.first(coef)[:, 0].real
@@ -478,18 +476,21 @@ def evolve_batch(
         check(steps)
         sq[steps] = 2.0 * _half_sq_norms(coef, T)
     record(T, coef)
+    buf.setflags(write=False)
+    coefs = buf[:, : len(times)]  # member m's rows are coefs[m]
+    l2 = sobolev_norms(coefs, 0.0)
 
     step_counts = {n * h: counts[n] for n in sorted(counts) if counts[n]}
     if h_last > 0.0:
         step_counts = {h_last: 1} | step_counts  # h_last < h: the smallest size first
     return tuple(
         TrajectoryRecord(
-            times=np.array(times), states=tuple(member),
-            gamma=params.gamma, forcing_l2=params.forcing.l2(),
+            times=np.array(times), coefs=coefs[m], gamma=params.gamma,
+            forcing_l2=params.forcing.l2(), l2_norms=l2[m],
             dense_times=dense_t[: steps + 1].copy(), dense_l2=np.sqrt(sq[: steps + 1, m]),
             step_counts=dict(step_counts), max_convective=worst if coarsen else None,
         )
-        for m, member in enumerate(states)
+        for m in range(M)
     )
 
 

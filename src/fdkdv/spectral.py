@@ -136,17 +136,25 @@ def sobolev_norm(u: CoefSeq, s: float) -> float:
     return float(sobolev_norms(u.coef, s))
 
 
+# spectra per block of sobolev_norms and smoothing_gap, bounding their temporaries
+NORM_ROWS = 64
+
+
 def sobolev_norms(coef: np.ndarray, s: float) -> np.ndarray:
     """:func:`sobolev_norm` of every half spectrum k = 0..K along the last
     axis of coef (u_0 is not read), with the same operations on each."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    x = np.abs(coef[..., 1:]) ** 2
-    if s != 0:
-        x = np.arange(1, coef.shape[-1], dtype=np.float64) ** (2.0 * s) * x
     # the terms of k < 0 repeat those of k > 0; adding them in the order
     # -K..-1, 1..K keeps the rounding of the sum over the whole spectrum
-    return np.sqrt(np.sum(np.concatenate((x[..., ::-1], x), axis=-1), axis=-1))
+    K = coef.shape[-1] - 1
+    rows = coef.reshape(-1, K + 1)
+    weights = np.arange(1, K + 1, dtype=np.float64) ** (2.0 * s)  # all 1.0 at s = 0
+    sums = np.empty(len(rows))
+    for i in range(0, len(rows), NORM_ROWS):
+        x = np.abs(rows[i : i + NORM_ROWS, 1:]) ** 2 * weights
+        np.sum(np.concatenate((x[:, ::-1], x), axis=1), axis=1, out=sums[i : i + NORM_ROWS])
+    return np.sqrt(sums).reshape(coef.shape[:-1])
 
 
 def product_half(

@@ -186,7 +186,7 @@ def test_a8_solver_validity():
 
     def final(h):
         params = FlowParams(gamma=0.5, forcing=CoefSeq.cosine(GridSpec(32)), h=h)
-        return evolve(u0, 1.0, params, sample_every=10**9).states[-1].coef
+        return evolve(u0, 1.0, params, sample_every=10**9).coefs[-1]
 
     sols = {h: final(h) for h in (8e-3, 4e-3, 2e-3)}
     order = float(
@@ -199,7 +199,7 @@ def test_a8_solver_validity():
     def run_at(K):
         g = GridSpec(K)
         params = FlowParams(gamma=0.5, forcing=CoefSeq.cosine(g), h=1e-3)
-        return evolve(CoefSeq.cosine(g), 1.0, params, sample_every=10**9).states[-1]
+        return CoefSeq(g, evolve(CoefSeq.cosine(g), 1.0, params, sample_every=10**9).coefs[-1])
 
     a, b = run_at(16), run_at(32)
     # full-spectrum l2 norm of the difference on the coarse grid's modes

@@ -23,9 +23,15 @@ from fdkdv.cli import (
     write_report_json,
     write_trajectory_csv,
 )
-from fdkdv.experiments import CONFIG_KEYS, RunConfig, run_energy_envelope, run_normal_form_residual
-from fdkdv.flow import FlowParams, evolve
-from fdkdv.spectral import CoefSeq, GridSpec
+from fdkdv.experiments import (
+    CONFIG_KEYS,
+    RunConfig,
+    run_energy_envelope,
+    run_normal_form_residual,
+    run_smoothing_ladder,
+)
+from fdkdv.flow import FlowParams, energy_envelope, evolve, evolve_batch, linear_flow
+from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
 
 SMALL = ["--set", "grid.k=16", "--set", "T=1.0", "--set", "init.sigma=2.5"]
 UNFORCED = [*SMALL, "--set", "forcing.profile=zero"]  # envelope writes one report
@@ -643,6 +649,49 @@ class TestTrajectoryCsv:
         first = path.read_text().strip().split("\n")[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[3]) == 0.0
+
+    @staticmethod
+    def per_row_csv(traj, s_values) -> str:
+        """The CSV written one sample at a time: a CoefSeq per row, its
+        l2 norm, and its gap and H^s norm per s."""
+        g = GridSpec(traj.coefs.shape[1] - 1)
+        states = [CoefSeq(g, c) for c in traj.coefs]
+        norms = [u.l2() for u in states]
+        envelope = energy_envelope(traj.times, norms[0], traj.forcing_l2, traj.gamma)
+        header = ["t", "l2_norm", "envelope"]
+        for s in s_values:
+            header += [f"hs_gap_s{s:g}", f"hs_norm_s{s:g}"]
+        lines = [",".join(header)]
+        for t, u, norm, env in zip(traj.times, states, norms, envelope):
+            row = [t, norm, env]
+            for s in s_values:
+                lin = linear_flow(states[0], float(t), traj.gamma)
+                row += [sobolev_norm(u.with_coef(u.coef - lin.coef), s), sobolev_norm(u, s)]
+            lines.append(",".join(format(float(x), ".17g") for x in row))
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def oracle_cases():
+        g = GridSpec(32)
+        f = CoefSeq.cosine(g)
+        u0 = random_rough_state(g, 1.5, seed=4, target_l2=1.0)
+        ifrk4 = evolve(u0, 0.3, FlowParams(gamma=0.5, forcing=f, h=1e-3), sample_every=20)
+        members = [random_rough_state(g, 1.2, seed=s, target_l2=l2)
+                   for s, l2 in ((1, 0.5), (2, 2.0))]
+        coarse = evolve_batch(members, 0.4, FlowParams(gamma=1.0, forcing=f, h=1e-3,
+                                                        scheme="etdrk4"),
+                              sample_every=16, coarsen=True)[1]
+        assert len(coarse.step_counts) > 1  # the member took coarsened steps
+        cfg = RunConfig(ladder_k=(8, 16, 32), s_values=(0.5, 0.9), T=0.3, h=1e-3,
+                        scheme="etdrk4", sample_stride=25, init_sigma=0.55)
+        rung = run_smoothing_ladder(cfg).trajectories["smoothing_K32"]
+        return [(ifrk4, (0.5, 2.0)), (coarse, (0.5,)), (rung, cfg.s_values)]
+
+    def test_bytes_equal_per_row_writer(self, tmp_path):
+        for i, (traj, s_values) in enumerate(self.oracle_cases()):
+            path = tmp_path / f"t{i}.csv"
+            write_trajectory_csv(traj, path, s_values=s_values)
+            assert path.read_text() == self.per_row_csv(traj, s_values)
 
 
 class TestReportJson:

@@ -18,7 +18,6 @@ from fdkdv.experiments import (
     default_kdv_limit_config,
     default_residual_configs,
     default_smoothing_config,
-    envelope_suite,
     first_containment_time,
     flow_params_for,
     predicted_absorption_time,
@@ -30,7 +29,7 @@ from fdkdv.experiments import (
 )
 from fdkdv.cli import parse_and_dispatch
 from fdkdv.flow import FlowParams, StepFailureError, evolve, evolve_batch
-from fdkdv.normal_form import resonant_cubic
+from fdkdv.normal_form import resonant_cubic, smoothing_gap
 from fdkdv.spectral import CoefSeq, GridSpec, random_rough_state, sobolev_norm
 
 
@@ -224,6 +223,41 @@ class TestSmoothingLadder:
         # smooth data: gaps finite and small, but the norm contrast is absent
         growth = [c for c in r.checks if c.name.startswith("u0_norm_growth")]
         assert growth[0].measured < 1.05
+
+
+def test_no_per_sample_calls(monkeypatch):
+    # the ladder's gaps take one batched call per (rung, s) from u0 and one
+    # from the restart sample; recording a sample builds no CoefSeq
+    calls = []
+
+    def counting_gap(*args):
+        calls.append(args)
+        return smoothing_gap(*args)
+
+    monkeypatch.setattr(fdkdv.experiments, "smoothing_gap", counting_gap)
+    cfg = RunConfig(ladder_k=(8, 16, 32), s_values=(0.5, 0.9), T=0.2, h=1e-3,
+                    sample_stride=10, init_sigma=1.5)
+    run_smoothing_ladder(cfg)
+    assert len(calls) == 3 * 2 * 2
+
+    g = GridSpec(16)
+    params = FlowParams(gamma=1.0, forcing=CoefSeq.cosine(g), h=1e-3)
+    u0s = [random_rough_state(g, 2.0, seed=seed, target_l2=1.0) for seed in (1, 2)]
+    built = []
+    post_init = CoefSeq.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CoefSeq, "__post_init__", counting_post_init)
+    counts = {}
+    for every in (1, 50):
+        built.clear()
+        trajs = evolve_batch(u0s, 0.1, params, sample_every=every)
+        assert len(trajs[0].times) == 100 // every + 1
+        counts[every] = len(built)
+    assert counts[1] == counts[50]
 
 
 class TestKdvLimit:
@@ -448,7 +482,9 @@ class TestEnvelopeSuite:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(fdkdv.experiments, "evolve", counting_evolve)
-        reports = envelope_suite(mini)
+        envelopes = [run_energy_envelope(cfg) for cfg in mini]
+        reports = envelopes + [run_absorbing_ball(r) for r in envelopes
+                               if r.measured["forcing_l2"] > 0]
         kinds = [r.experiment for r in reports]
         assert kinds.count("energy_envelope") == 2
         assert kinds.count("absorbing_ball") == 1  # only the forced config

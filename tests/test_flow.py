@@ -129,7 +129,7 @@ class TestStep:
 
         def final(h):
             params = cos_params(gamma=0.5, h=h)
-            return evolve(u0, 1.0, params, sample_every=10**9).states[-1].coef
+            return evolve(u0, 1.0, params, sample_every=10**9).coefs[-1]
 
         sols = {h: final(h) for h in (8e-3, 4e-3, 2e-3, 1e-3)}
         d1 = np.max(np.abs(sols[8e-3] - sols[4e-3]))
@@ -161,7 +161,7 @@ class TestEvolve:
         g = GridSpec(8)
         params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=0.01)
         traj = evolve(CoefSeq.cosine(g), 0.05, params, sample_every=1)
-        assert len(traj.states) == 6
+        assert traj.coefs.shape == (6, g.size)
         assert np.allclose(traj.times, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
 
     def test_partial_final_step(self):
@@ -200,16 +200,14 @@ class TestEvolve:
         lam = 1j * k**3 - gamma
         duhamel = np.where(k != 0, (np.exp(lam * T) - 1.0) / lam, 0.0) * f.coef
         expected = linear_flow(u0, T, gamma).coef + duhamel
-        assert np.max(np.abs(traj.states[-1].coef - expected)) < 1e-12
+        assert np.max(np.abs(traj.coefs[-1] - expected)) < 1e-12
 
     def test_deterministic(self):
         g = GridSpec(16)
         u0 = random_rough_state(g, 1.0, seed=8, target_l2=1.0)
         t1 = evolve(u0, 0.5, cos_params(K=16), sample_every=50)
         t2 = evolve(u0, 0.5, cos_params(K=16), sample_every=50)
-        assert all(
-            np.array_equal(a.coef, b.coef) for a, b in zip(t1.states, t2.states)
-        )
+        assert np.array_equal(t1.coefs, t2.coefs)
 
     def test_samples_by_position(self):
         # the i-th sample is the state at times[i]: every sample_every-th
@@ -219,9 +217,9 @@ class TestEvolve:
         u0 = CoefSeq.cosine(g)
         traj = evolve(u0, 0.12, params, sample_every=5)
         np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.12], rtol=0, atol=1e-15)
-        assert traj.states[0] is u0
-        for t, u in zip(traj.times[1:], traj.states[1:]):
-            assert np.array_equal(u.coef, evolve(u0, t, params).states[-1].coef)
+        assert np.array_equal(traj.coefs[0], u0.coef) and not traj.coefs.flags.writeable
+        for t, c in zip(traj.times[1:], traj.coefs[1:]):
+            assert np.array_equal(c, evolve(u0, t, params).coefs[-1])
 
 
 class TestEtdrk4Scheme:
@@ -230,7 +228,7 @@ class TestEtdrk4Scheme:
 
         def final(h):
             params = cos_params(gamma=0.5, h=h, scheme="etdrk4")
-            return evolve(u0, 1.0, params, sample_every=10**9).states[-1].coef
+            return evolve(u0, 1.0, params, sample_every=10**9).coefs[-1]
 
         sols = {h: final(h) for h in (8e-3, 4e-3, 2e-3)}
         d1 = np.max(np.abs(sols[8e-3] - sols[4e-3]))
@@ -242,7 +240,7 @@ class TestEtdrk4Scheme:
         finals = {}
         for scheme in ("ifrk4", "etdrk4"):
             params = cos_params(gamma=1.0, h=5e-4, scheme=scheme)
-            finals[scheme] = evolve(u0, 1.0, params, sample_every=10**9).states[-1].coef
+            finals[scheme] = evolve(u0, 1.0, params, sample_every=10**9).coefs[-1]
         assert np.max(np.abs(finals["ifrk4"] - finals["etdrk4"])) < 1e-10
 
     def test_constant_forcing_duhamel_exact_per_mode(self, linear_only):
@@ -258,7 +256,7 @@ class TestEtdrk4Scheme:
         lam = 1j * k**3 - gamma
         duhamel = np.where(k != 0, (np.exp(lam * T) - 1.0) / lam, 0.0) * f.coef
         expected = linear_flow(u0, T, gamma).coef + duhamel
-        assert np.max(np.abs(traj.states[-1].coef - expected)) < 1e-12
+        assert np.max(np.abs(traj.coefs[-1] - expected)) < 1e-12
 
     def test_stable_on_rough_data_where_ifrk4_saturates(self):
         g = GridSpec(64)
@@ -347,7 +345,7 @@ class TestHalfSpectrumOracle:
         params = FlowParams(gamma=0.6, forcing=f, h=1e-3, scheme=scheme)
         u0 = random_rough_state(g, rough_sigma(K, scheme), seed=4, target_l2=1.5)
         t = 0.05
-        u = evolve(u0, t, params, sample_every=10**9).states[-1]
+        u = CoefSeq(g, evolve(u0, t, params, sample_every=10**9).coefs[-1])
 
         out = step(u, t, params)
         assert rel_err(full(out), full_step(full(u), params, params.h)) <= 1e-13
@@ -363,9 +361,8 @@ class TestHalfSpectrumOracle:
         for _ in range(12):
             ref = full_step(ref, params, params.h)
         ref = full_step(ref, params, 0.5 * params.h)
-        assert rel_err(full(traj.states[-1]), ref) <= 1e-13
-        for state in traj.states[1:]:
-            assert_mean_zero(state)
+        assert rel_err(full(CoefSeq(g, traj.coefs[-1])), ref) <= 1e-13
+        assert np.all(traj.coefs[:, 0] == 0.0)
 
 
 class TestEvolveBatch:
@@ -385,8 +382,7 @@ class TestEvolveBatch:
             assert np.array_equal(got.times, solo.times)
             assert np.array_equal(got.dense_times, solo.dense_times)
             assert np.array_equal(got.dense_l2, solo.dense_l2)
-            assert len(got.states) == len(solo.states)
-            assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.states, solo.states))
+            assert np.array_equal(got.coefs, solo.coefs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_names_member_at_its_solo_time(self):
@@ -554,9 +550,7 @@ class TestBufferedKernelOracle:
             assert np.array_equal(traj.times, [0.0] + [t for _, t, _ in sampled])
             assert np.array_equal(traj.dense_times, [0.0] + [t for _, t, _ in ref])
             assert np.array_equal(traj.dense_l2, np.sqrt(dense_sq[:, m]))
-            assert np.array_equal(traj.states[0].coef, c0[m])
-            for state, (_, _, c) in zip(traj.states[1:], sampled, strict=True):
-                assert np.array_equal(state.coef, c[m])
+            assert np.array_equal(traj.coefs, [c0[m]] + [c[m] for _, _, c in sampled])
 
 
 class TestFoldedWeights:
@@ -571,7 +565,8 @@ class TestFoldedWeights:
         params = FlowParams(gamma=0.6, forcing=f, h=1e-3, scheme=scheme)
         u0s = [random_rough_state(g, 1.2, seed=seed, target_l2=1.5) for seed in (20, 21, 22)]
         # states at t = 0.05
-        us = [traj.states[-1] for traj in evolve_batch(u0s, 0.05, params, sample_every=10**9)]
+        us = [CoefSeq(g, traj.coefs[-1])
+              for traj in evolve_batch(u0s, 0.05, params, sample_every=10**9)]
         c = np.stack([u.coef for u in us])
         for h in (params.h, 0.37 * params.h):
             ref = n_form_step(c, params, h)
@@ -582,7 +577,7 @@ class TestFoldedWeights:
             ref = n_form_step(ref, params, params.h)
         ref = n_form_step(ref, params, 0.5 * params.h)
         for traj, row in zip(evolve_batch(us, 12.5 * params.h, params, sample_every=5), ref):
-            assert rel_err(traj.states[-1].coef, row) <= 1e-13
+            assert rel_err(traj.coefs[-1], row) <= 1e-13
 
 
 @pytest.mark.parametrize("coarsen", [False, True])
@@ -654,7 +649,7 @@ def assert_runs_equal(a, b):
         assert np.array_equal(x.times, y.times)
         assert np.array_equal(x.dense_times, y.dense_times)
         assert np.array_equal(x.dense_l2, y.dense_l2)
-        assert all(np.array_equal(u.coef, v.coef) for u, v in zip(x.states, y.states, strict=True))
+        assert np.array_equal(x.coefs, y.coefs)
 
 
 class TestCoarsenedBatch:

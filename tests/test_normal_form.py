@@ -11,7 +11,7 @@ from fdkdv.experiments import (
     run_normal_form_residual,
     stencil_states,
 )
-from fdkdv.flow import FlowParams, evolve, step
+from fdkdv.flow import FlowParams, evolve, linear_flow, step
 from fdkdv.normal_form import (
     NormalFormFrame,
     _full_spectrum,
@@ -441,7 +441,7 @@ class TestDifferentialIdentity:
     def _stencil(self, u0, gamma, f, t, dt):
         """u(t - dt), u(t), u(t + dt) marched the whole way at dt."""
         params = FlowParams(gamma=gamma, forcing=f, h=dt)
-        s0 = evolve(u0, t - dt, params, sample_every=10**9).states[-1]
+        s0 = CoefSeq(u0.grid, evolve(u0, t - dt, params, sample_every=10**9).coefs[-1])
         s1 = step(s0, t - dt, params)
         return s0, s1, step(s1, t, params)
 
@@ -528,8 +528,9 @@ class TestDifferentialIdentity:
         # is an error, not a silent shift of the times
         g = GridSpec(8)
         f = CoefSeq.cosine(g)
-        states = evolve(CoefSeq.cosine(g), (count - 1) * 1e-3,
-                        FlowParams(gamma=1.0, forcing=f, h=1e-3)).states
+        coefs = evolve(CoefSeq.cosine(g), (count - 1) * 1e-3,
+                       FlowParams(gamma=1.0, forcing=f, h=1e-3)).coefs
+        states = [CoefSeq(g, c) for c in coefs]
         assert len(states) == count
         frame = NormalFormFrame.from_forcing(f, 1.0)
         with pytest.raises(ValueError):
@@ -554,19 +555,49 @@ class TestSmoothingGap:
         f = CoefSeq.cosine(g)
         u0 = random_rough_state(g, 1.0, seed=8, target_l2=1.0)
         traj = evolve(u0, 0.1, FlowParams(gamma=1.0, forcing=f, h=1e-3), sample_every=10)
-        assert smoothing_gap(u0, traj.states[0], 0.0, 1.0, 0.5) == 0.0
+        gap = smoothing_gap(u0.coef, traj.coefs[:1], traj.times[:1], 1.0, 0.5)
+        assert np.array_equal(gap, [0.0])
 
     def test_zero_data_zero_forcing(self):
         g = GridSpec(16)
         params = FlowParams(gamma=1.0, forcing=CoefSeq.zeros(g), h=1e-3)
         traj = evolve(CoefSeq.zeros(g), 0.1, params, sample_every=10)
-        for t, u in zip(traj.times, traj.states):
-            assert smoothing_gap(CoefSeq.zeros(g), u, float(t), 1.0, 0.5) == 0.0
+        gaps = smoothing_gap(CoefSeq.zeros(g).coef, traj.coefs, traj.times, 1.0, 0.5)
+        assert np.array_equal(gaps, np.zeros(len(traj.times)))
 
     def test_positive_along_forced_trajectory(self):
         g = GridSpec(32)
         f = CoefSeq.cosine(g)
         u0 = random_rough_state(g, 0.55, seed=7, target_l2=1.0)
         traj = evolve(u0, 0.5, FlowParams(gamma=0.5, forcing=f, h=1e-3), sample_every=100)
-        g05 = smoothing_gap(u0, traj.states[-1], 0.5, 0.5, 0.5)
+        (g05,) = smoothing_gap(u0.coef, traj.coefs[-1:], traj.times[-1:], 0.5, 0.5)
         assert g05 > 0.0
+
+    @staticmethod
+    def per_row_gap(u0, c, t, gamma, s):
+        """The gap of one state alone: its coefficients minus the damped
+        linear flow of u0, as a field, in H^s."""
+        g = u0.grid
+        return sobolev_norm(CoefSeq(g, c - linear_flow(u0, t, gamma).coef), s)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("K", [8, 128])
+    def test_batch_equals_per_row_expression(self, K, s):
+        # every row of the batched gap is the per-state expression bit for
+        # bit, from t = 0 and from a restart at a later sample
+        g = GridSpec(K)
+        f = random_rough_state(g, 2.0, seed=3, target_l2=0.8)
+        u0 = random_rough_state(g, 2.5, seed=9, target_l2=1.0)
+        traj = evolve(u0, 0.2, FlowParams(gamma=0.5, forcing=f, h=1e-3), sample_every=25)
+        t, coefs = traj.times, traj.coefs
+        assert t[0] == 0.0
+        gaps = smoothing_gap(u0.coef, coefs, t, 0.5, s)
+        assert gaps.shape == t.shape
+        for i in range(len(t)):
+            assert gaps[i] == self.per_row_gap(u0, coefs[i], float(t[i]), 0.5, s)
+        i0 = 3
+        restart = smoothing_gap(coefs[i0], coefs[i0:], t[i0:] - t[i0], 0.5, s)
+        u_restart = CoefSeq(g, coefs[i0])
+        for j, i in enumerate(range(i0, len(t))):
+            assert restart[j] == self.per_row_gap(u_restart, coefs[i], float(t[i] - t[i0]), 0.5, s)
+        assert restart[0] == 0.0
