@@ -39,7 +39,7 @@ from .experiments import (
     run_normal_form_residual,
     run_smoothing_ladder,
 )
-from .flow import StepFailureError, TrajectoryRecord, energy_envelope
+from .flow import StepCountError, StepFailureError, TrajectoryRecord, energy_envelope
 from .normal_form import smoothing_gap
 
 # sobolev_norm stays bound here: the traced benchmark (bench/tracing.py)
@@ -304,7 +304,7 @@ def parse_and_dispatch(argv) -> int:
         out = _out_dir(args)
         reports = command(cfg, overrides)
         out = _write(reports, out, stamped=args.out is None)
-    except ConfigError as exc:
+    except (ConfigError, StepCountError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepFailureError as exc:

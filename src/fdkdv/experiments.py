@@ -5,10 +5,11 @@ asserts the relevant claims at pinned tolerances, and returns a RunReport
 whose numbers all trace back to trajectories produced in the same call.
 
 Outcomes: a config value no run can use is a ConfigError from RunConfig
-itself (runners raise one only for what depends on the experiment); a horizon
-too short to measure is a report whose one verdict, horizon_sufficient,
-fails, with the reason in measured["diagnostic"]; a solver breakdown raises
-StepFailureError.
+itself (runners raise one only for what depends on the experiment); a run
+of more steps than fit in memory raises StepCountError before it steps; a
+horizon too short to measure is a report whose one verdict,
+horizon_sufficient, fails, with the reason in measured["diagnostic"]; a
+solver breakdown raises StepFailureError.
 """
 
 from __future__ import annotations
@@ -139,13 +140,18 @@ class RunConfig:
     rho_trials: int = 10000
 
     def __post_init__(self):
-        # every value is type-checked, then range-checked by the rows
-        # (holds, key, requirement), so a bad one is a ConfigError naming
-        # its key before anything runs
+        # every value is type-checked, every float (JSON reads Infinity and
+        # NaN) checked finite, then range-checked by the rows (holds, key,
+        # requirement), so a bad one is a ConfigError naming its key before
+        # anything runs
         for f in fields(self):
             if not _has_type(value := getattr(self, f.name), f.type):
                 kind = f.type.replace("tuple", "list")
                 raise ConfigError(f"{_key(f.name)} must have type {kind}, got {value!r}")
+            items = value if isinstance(value, tuple) else (value,)
+            # abs(nan) <= max is False, and an int compares exactly
+            if "float" in f.type and not all(abs(x) <= sys.float_info.max for x in items):
+                raise ConfigError(f"{_key(f.name)} must be finite, got {value!r}")
         profiles = ("cosine", "random", "zero")
         for holds, key, rule in (
             (self.grid_k >= 1, "grid.k", "be >= 1"),

@@ -27,26 +27,28 @@ No stage forms the nonlinear term N(c) = -(i k / 2)(u^2)_k + f_k.  Each
 stage input and the step's output are the state times its linear factor,
 plus per-mode weights times the raw squares y = (u^2)_k, plus a constant
 per mode: the convective factor -i k / 2 and the forcing are folded into
-weights made once per step size.  The stages allocate nothing.  The kernel
-for one (params, h, M) owns its work arrays: a physical buffer (M, P), one
-spectrum (M, P//2+1) per stage that product_half squares into (so the four
-squares live side by side) and three temporaries; kernels for other step
-sizes of the same batch share them.  Every other operation is an in-place
-ufunc.  Each in-place operation is one of the folded expressions quoted in
-the kernel, applied to the same operands in the same order, so every state
-is bit-identical to those expressions' result; ``tests/test_flow.py`` pins
-this against an allocating copy of them, and holds the folded step to the
-N-form scheme at roundoff.
+weights made on the first step of each size and kept for the run.  The
+stages allocate nothing.  The kernel for one (params, batch size M) owns
+its work arrays: a physical buffer (M, P), one spectrum (M, P//2+1) per
+stage that product_half squares into (so the four squares live side by
+side) and three temporaries; every step size uses them.  Every other
+operation is an in-place ufunc.  Each in-place operation is one of the
+folded expressions quoted in the kernel, applied to the same operands in
+the same order, so every state is bit-identical to those expressions'
+result; ``tests/test_flow.py`` pins this against an allocating copy of
+them, and holds the folded step to the N-form scheme at roundoff.
 
 A step is the square of the state, which does not depend on the step
 size, then the stages that do.  After the square the physical buffer holds
 u(x)^2 of every member, so max|u| costs one reduction, and the square's
-k = 0 slot is (u^2)_0 = sum_k |u_k|^2 = ||u||^2.  :func:`evolve_batch`
-steps its batch in place and takes every dense l2 norm from that slot; it
-checks the stored norms for finiteness before each recorded state and at
-the end, and sums the norm of the final state, which starts no step,
-directly.  Each member's samples are one read-only array, whose l2 norms
-are summed from it (the dense slots differ by roundoff).
+k = 0 slot is (u^2)_0 = sum_k |u_k|^2 = ||u||^2.  :func:`evolve_batch` is
+the one stepping loop: it steps its batch in place, the shortened step
+that lands on T being one more pass of the loop, and takes every dense l2
+norm from that slot; it checks the stored norms for finiteness before each
+recorded state and at the end, and sums the norm of the final state, which
+starts no step, directly.  :func:`step` is a run of one step.  Each
+member's samples are one read-only array, whose l2 norms are summed from
+it (the dense slots differ by roundoff).
 ``evolve_batch(..., coarsen=True)`` uses max|u| to take, at each step,
 the longest step h * 2^j whose convective number
 (h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
@@ -59,8 +61,7 @@ fixed step and does no reduction.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,6 +82,17 @@ class StepFailureError(RuntimeError):
         super().__init__(f"non-finite state{who} at t = {time:.6g}; reduce the step size")
         self.time = time
         self.member = member
+
+
+class StepCountError(ValueError):
+    """A run to T in steps of h whose per-step records cannot be allocated,
+    raised before it steps."""
+
+    def __init__(self, T: float, h: float):
+        super().__init__(f"T = {T:g} in steps of h = {h:g} is {T / h:.3g} steps, "
+                         "too many to allocate; raise h or lower T")
+        self.T = T
+        self.h = h
 
 
 SCHEMES = ("ifrk4", "etdrk4")
@@ -184,22 +196,21 @@ def _symbols(grid: GridSpec, gamma: float):
 
 
 class _Stepper:
-    """Precomputed one-step kernel for a fixed (params, h) and batch size M,
-    acting on half spectra of shape (M, K+1): modes k = 0..K, one row per
-    batch member.  The k = 0 slot of every output is zero.
+    """Precomputed one-step kernel for fixed params and batch size M, acting
+    on half spectra of shape (M, K+1): modes k = 0..K, one row per batch
+    member.  The k = 0 slot of every output is zero.
 
     A step is :meth:`first`, the square of the state, which does not depend
-    on h, then :meth:`finish`, the stages that do.  The stages use the raw
-    squares y = (u^2)_k: the convective factor -i k / 2 and the forcing are
-    folded into the per-mode weights that :meth:`_set_step` makes, so
-    N = -(i k / 2) y + f is never formed.  The stages compute into work
-    arrays made here once; :meth:`at_step` gives a kernel for another step
-    size that shares them.  Each scheme performs the operations of the
-    expressions quoted in its comment, in the same order, so the buffering
-    changes no bit of the result.
+    on the step size, then :meth:`finish`, the stages that do.  The stages
+    use the raw squares y = (u^2)_k: the convective factor -i k / 2 and the
+    forcing are folded into per-mode weights that :meth:`_fold` makes once
+    per step size, so N = -(i k / 2) y + f is never formed.  The stages of
+    every step size compute into work arrays made here once.  Each scheme
+    performs the operations of the expressions quoted in its comment, in
+    the same order, so the buffering changes no bit of the result.
     """
 
-    def __init__(self, params: FlowParams, h: float, M: int):
+    def __init__(self, params: FlowParams, M: int):
         g = params.grid
         self._lam, self._convect = _symbols(g, params.gamma)
         self._scheme = params.scheme
@@ -211,32 +222,27 @@ class _Stepper:
         self._spec = [np.empty((M, g.P // 2 + 1), dtype=np.complex128) for _ in range(4)]
         self._y1 = self._spec[0][:, : g.K + 1]
         self._tmp = [np.empty((M, g.K + 1), dtype=np.complex128) for _ in range(3)]
-        self._set_step(h)
+        self._folded = {}  # step size -> its weights (_fold)
 
-    def _set_step(self, h: float) -> None:
+    def _fold(self, h: float) -> tuple:
+        """The per-mode weights of a step of size h: the linear factors
+        E = e^{lam h/2} and E2 = e^{lam h}, then the scheme's weights."""
         lam, cv, f = self._lam, self._convect, self._forcing
-        self.h = h
-        self.E = E = np.exp(lam * (h / 2.0))
-        self.E2 = E2 = np.exp(lam * h)
+        E = np.exp(lam * (h / 2.0))
+        E2 = np.exp(lam * h)
         # N = cv * y + f, so a scheme's weight w on N becomes the weight
         # w * cv on the square y (C, QC, W) plus the constant w * f (F, QF, Fs)
         if self._scheme == "etdrk4":
             Q, f1, f2, f3 = _etdrk4_coeffs(lam, h)
-            self.QC, self.QF = Q * cv, Q * f
-            self.W = (f1 * cv, (2.0 * f2) * cv, f3 * cv)
-            self.Fs = (f1 + 4.0 * f2 + f3) * f
+            W = (f1 * cv, (2.0 * f2) * cv, f3 * cv)
+            weights = E, E2, Q * cv, Q * f, W, (f1 + 4.0 * f2 + f3) * f
         else:
-            self.C = ((h / 2.0) * E * cv, (h / 2.0) * cv, h * E * cv)
-            self.F = ((h / 2.0) * E * f, (h / 2.0) * f, h * E * f)
-            self.W = ((h / 6.0) * E2 * cv, (h / 3.0) * E * cv, (h / 6.0) * cv)
-            self.Fs = (h / 6.0) * (E2 + 4.0 * E + 1.0) * f
-
-    def at_step(self, h: float) -> "_Stepper":
-        """The kernel for step size h on the same params and batch, sharing
-        this one's work arrays (so a step of either overwrites them)."""
-        other = copy.copy(self)
-        other._set_step(h)
-        return other
+            C = ((h / 2.0) * E * cv, (h / 2.0) * cv, h * E * cv)
+            F = ((h / 2.0) * E * f, (h / 2.0) * f, h * E * f)
+            W = ((h / 6.0) * E2 * cv, (h / 3.0) * E * cv, (h / 6.0) * cv)
+            weights = E, E2, C, F, W, (h / 6.0) * (E2 + 4.0 * E + 1.0) * f
+        self._folded[h] = weights
+        return weights
 
     def _square(self, a: np.ndarray, stage: int) -> np.ndarray:
         """(u^2)_k, k = 0..K, of the fields a, into the stage's spectrum."""
@@ -253,21 +259,22 @@ class _Stepper:
         :meth:`first` leaves holding u(x)^2."""
         return float(np.sqrt(self._phys.max()))
 
-    def finish(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The rest of the step from c after :meth:`first` (by this kernel or
-        one sharing its work arrays), written to out; returns out.  out may
-        be c: the stages read c before the last operation writes out."""
+    def finish(self, c: np.ndarray, out: np.ndarray, h: float) -> np.ndarray:
+        """The rest of a step of size h from c after :meth:`first`, written
+        to out; returns out.  out may be c: the stages read c before the
+        last operation writes out."""
+        weights = self._folded.get(h) or self._fold(h)
         # dispatched here, not through a bound method stored on self: that
         # would be a reference cycle, and the kernel's work arrays would
         # outlive the run until the cyclic collector found them
         if self._scheme == "etdrk4":
-            self._etdrk4(c, out)
+            self._etdrk4(c, out, weights)
         else:
-            self._ifrk4(c, out)
+            self._ifrk4(c, out, weights)
         out[:, 0] = 0.0
         return out
 
-    def _ifrk4(self, c, out):
+    def _ifrk4(self, c, out, weights):
         # cE, cE2 = c * E, c * E2
         # y1 = (c^2)_k                    (first)
         # y2 = sq(cE + C1 * y1 + F1)
@@ -276,19 +283,19 @@ class _Stepper:
         # out = cE2 + W1 * y1 + W23 * (y2 + y3) + W4 * y4 + Fs
         # The state multiplies the factor from the left throughout so that
         # the pure semigroup case reproduces linear_flow bit for bit.
-        (C1, C2, C3), (F1, F2, F3), (W1, W23, W4) = self.C, self.F, self.W
+        E, E2, (C1, C2, C3), (F1, F2, F3), (W1, W23, W4), Fs = weights
         mul, add, sq = np.multiply, np.add, self._square
         y1, a = self._y1, self._tmp[2]
-        cE, cE2 = mul(c, self.E, out=self._tmp[0]), mul(c, self.E2, out=self._tmp[1])
+        cE, cE2 = mul(c, E, out=self._tmp[0]), mul(c, E2, out=self._tmp[1])
         y2 = sq(add(add(cE, mul(C1, y1, out=a), out=a), F1, out=a), 1)
         y3 = sq(add(add(cE, mul(C2, y2, out=a), out=a), F2, out=a), 2)
         y4 = sq(add(add(cE2, mul(C3, y3, out=a), out=a), F3, out=a), 3)
         add(cE2, mul(W1, y1, out=a), out=cE2)
         add(cE2, mul(W23, add(y2, y3, out=a), out=a), out=cE2)
         add(cE2, mul(W4, y4, out=a), out=cE2)
-        add(cE2, self.Fs, out=out)
+        add(cE2, Fs, out=out)
 
-    def _etdrk4(self, c, out):
+    def _etdrk4(self, c, out, weights):
         # cE = c * E
         # y0 = (c^2)_k                    (first)
         # a = cE + QC * y0 + QF
@@ -296,7 +303,7 @@ class _Stepper:
         # yb = sq(cE + QC * ya + QF)
         # yc = sq(a * E + QC * (2 * yb - y0) + QF)
         # out = c * E2 + W0 * y0 + Wab * (ya + yb) + Wc * yc + Fs
-        E, QC, QF, (W0, Wab, Wc) = self.E, self.QC, self.QF, self.W
+        E, E2, QC, QF, (W0, Wab, Wc), Fs = weights
         mul, add, sq = np.multiply, np.add, self._square
         y0 = self._y1
         cE, a, b = self._tmp
@@ -305,11 +312,11 @@ class _Stepper:
         yb = sq(add(add(cE, mul(QC, ya, out=b), out=b), QF, out=b), 2)
         mul(QC, np.subtract(mul(2.0, yb, out=b), y0, out=b), out=b)
         yc = sq(add(add(mul(a, E, out=a), b, out=a), QF, out=a), 3)
-        mul(c, self.E2, out=cE)
+        mul(c, E2, out=cE)
         add(cE, mul(W0, y0, out=a), out=cE)
         add(cE, mul(Wab, add(ya, yb, out=a), out=a), out=cE)
         add(cE, mul(Wc, yc, out=a), out=cE)
-        add(cE, self.Fs, out=out)
+        add(cE, Fs, out=out)
 
 
 def _batch(states, grid: GridSpec) -> np.ndarray:
@@ -333,11 +340,11 @@ def _raise_first_failure(sq: np.ndarray, times) -> None:
 
 def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
     """Per-member sum_{k >= 1} |c_k|^2 of a half-spectrum batch (half the
-    squared l2 norm), for a state that starts no step: the one :func:`step`
-    returns and the last of an :func:`evolve_batch` run (every earlier state's
-    norm is the k = 0 slot of its step's first square).  A non-finite state
-    gives a non-finite sum, so this also checks finiteness: it raises
-    StepFailureError naming the first failing member and the time t."""
+    squared l2 norm), for a state that starts no step: the last of an
+    :func:`evolve_batch` run (every earlier state's norm is the k = 0 slot of
+    its step's first square).  A non-finite state gives a non-finite sum, so
+    this also checks finiteness: it raises StepFailureError naming the first
+    failing member and the time t."""
     v = c[:, 1:].view(np.float64)
     sq = np.einsum("ij,ij->i", v, v)
     _raise_first_failure(sq[None], (t,))
@@ -355,20 +362,20 @@ def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
 
 
 def step(u: CoefSeq, t: float, params: FlowParams, h: float | None = None) -> CoefSeq:
-    """Advance one step of size h (params.h by default) from time t.
+    """Advance one step of size h (params.h by default) from time t: the
+    final state of an :func:`evolve_batch` run to h at step h.  A non-finite
+    state raises StepFailureError at t plus its time in that run.
 
     Both schemes apply the factor exp((i k^3 - gamma) h) exactly between
     stage evaluations of the nonlinear + forcing part; with that part
     switched off the ifrk4 step reproduces :func:`linear_flow` to the bit.
     """
     h = params.h if h is None else h
-    c = _batch((u,), params.grid)
-    kernel = _Stepper(params, h, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        kernel.first(c)
-        out = kernel.finish(c, c)
-        _half_sq_norms(out, t + h)
-    return CoefSeq(params.grid, out[0])
+    try:
+        (traj,) = evolve_batch((u,), h, replace(params, h=h))
+    except StepFailureError as exc:
+        raise StepFailureError(t + exc.time) from None
+    return CoefSeq(params.grid, traj.coefs[-1])
 
 
 def evolve_batch(
@@ -377,13 +384,15 @@ def evolve_batch(
     """March every initial state in u0s from t = 0 to T under one shared
     params, as one batch; one TrajectoryRecord per member, in order.
 
-    Without coarsen, each member's record is bit-identical to its
-    :func:`evolve` run.  A non-finite member stops the whole batch with
-    StepFailureError carrying the time of its first non-finite state and
-    the member's index; no state after that time is recorded.  The dense
-    l2 norm of each state is the k = 0 slot of the first square of the
-    step it starts, checked for finiteness at each sample and at the end;
-    only the final state's norm is summed directly.
+    Steps of params.h run up to the last full step; one more pass of the
+    same loop takes the shortened step that lands on T, if T is no
+    multiple of h.  Without coarsen, each member's record is bit-identical
+    to its :func:`evolve` run.  A non-finite member stops the whole batch
+    with StepFailureError carrying the time of its first non-finite state
+    and the member's index; no state after that time is recorded.  The
+    dense l2 norm of each state is the k = 0 slot of the first square of
+    the step it starts, checked for finiteness at each sample and at the
+    end; only the final state's norm is summed directly.
 
     With coarsen, params.h is the finest step.  At step index i (in units
     of h) the batch takes the longest step n * h, n = 2^j, for which n
@@ -405,18 +414,20 @@ def evolve_batch(
     g = params.grid
     M = len(u0s)
 
-    n_full = int(np.floor(T / h + 1e-9))
+    coef = _batch(u0s, g)
+    try:
+        n_full = int(np.floor(T / h + 1e-9))
+        buf = np.empty((M, n_full // sample_every + 2, g.size), dtype=np.complex128)
+        # time and squared l2 norms of every dense state; rows before
+        # `checked` are known to be finite
+        dense_t = np.empty(n_full + 2)
+        sq = np.empty((n_full + 2, M))
+    except (OverflowError, ValueError, MemoryError) as exc:  # T / h = inf, or too large
+        raise StepCountError(T, h) from exc
     h_last = T - n_full * h
     if h_last < 1e-12 * max(T, 1.0):
         h_last = 0.0
-
-    coef = _batch(u0s, g)
-    buf = np.empty((M, n_full // sample_every + 2, g.size), dtype=np.complex128)
     times = []  # buf[:, j] is the batch at times[j]
-    # time and squared l2 norms of every dense state; rows before `checked`
-    # are known to be finite
-    dense_t = np.empty(n_full + 2)
-    sq = np.empty((n_full + 2, M))
     dense_t[0] = 0.0
     checked = 0
 
@@ -432,47 +443,38 @@ def evolve_batch(
         times.append(t)
 
     record(0.0, coef)
-    kernel = _Stepper(params, h, M)
+    kernel = _Stepper(params, M)
     top = 1  # the longest step in units of h: a power of two dividing sample_every
     while coarsen and sample_every % (2 * top) == 0 and 2 * top <= n_full:
         top *= 2
-    kernels = {1 << j: kernel.at_step((1 << j) * h) for j in range(1, top.bit_length())}
-    kernels[1] = kernel
-    counts = dict.fromkeys(kernels, 0)
+    counts = {}  # step size -> number of steps taken at it
     conv_per_h = h * g.K
     worst = 0.0
     steps = i = 0
     # the batch is stepped in place; record copies it
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported below
-        while i < n_full:
+        while i < n_full or h_last:
             sq[steps] = kernel.first(coef)[:, 0].real
             if i and i % sample_every == 0:
                 check(steps + 1)
                 record(i * h, coef)
-            if coarsen:
-                conv = conv_per_h * kernel.max_abs_u()
+            max_u = kernel.max_abs_u() if coarsen else 0.0
+            if i < n_full:
                 n = top
-                while n > 1 and (i % n or i + n > n_full or not n * conv <= CONVECTIVE_LIMIT):
+                while n > 1 and (i % n or i + n > n_full
+                                 or not n * (conv_per_h * max_u) <= CONVECTIVE_LIMIT):
                     n //= 2
-                worst = max(worst, n * conv)
-            else:
-                n = 1
-            kernels[n].finish(coef, coef)
-            i += n
-            steps += 1
-            counts[n] += 1
-            dense_t[steps] = i * h
-        if h_last > 0.0:
-            last = kernel.at_step(h_last)
-            sq[steps] = last.first(coef)[:, 0].real
-            if i and i % sample_every == 0:
-                check(steps + 1)
-                record(i * h, coef)
+                size = n * h
+                i += n
+                t = i * h
+            else:  # the shortened last step, which lands on T
+                size, h_last, t = h_last, 0.0, T
             if coarsen:
-                worst = max(worst, h_last * g.K * last.max_abs_u())
-            last.finish(coef, coef)
+                worst = max(worst, size * g.K * max_u)
+            kernel.finish(coef, coef, size)
             steps += 1
-            dense_t[steps] = T
+            counts[size] = counts.get(size, 0) + 1
+            dense_t[steps] = t
         check(steps)
         sq[steps] = 2.0 * _half_sq_norms(coef, T)
     record(T, coef)
@@ -480,9 +482,7 @@ def evolve_batch(
     coefs = buf[:, : len(times)]  # member m's rows are coefs[m]
     l2 = sobolev_norms(coefs, 0.0)
 
-    step_counts = {n * h: counts[n] for n in sorted(counts) if counts[n]}
-    if h_last > 0.0:
-        step_counts = {h_last: 1} | step_counts  # h_last < h: the smallest size first
+    step_counts = dict(sorted(counts.items()))  # by size, a shortened last step first
     return tuple(
         TrajectoryRecord(
             times=np.array(times), coefs=coefs[m], gamma=params.gamma,

@@ -1,13 +1,17 @@
-"""Golden content of the four trajectory commands, for tests/test_golden.py.
+"""Golden content of six small CLI runs, for tests/test_golden.py.
 
-Each entry of INVOCATIONS is one small CLI run (K <= 32, T <= 2).  Its
-golden file, tests/data/golden/<name>.json, holds the argv and what the
-run must reproduce: per report, the config hash, the verdict names and
-pass flags, and content.measured; per CSV, its header and last row.
+Each entry of INVOCATIONS is one small CLI run: the four trajectory
+commands (K <= 32, T <= 2) and the two verification commands at a small
+radius and K.  Its golden file, tests/data/golden/<name>.json, holds the
+argv and what the run must reproduce: per report, the config hash, the
+verdict names and pass flags, and content.measured; per CSV, its header
+and last row.
 
 Regenerate every file (after a change that moves a value on purpose) with
 
     PYTHONPATH=src python tests/regenerate_golden.py
+
+which prints each moved key, old -> new, before it overwrites a file.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ INVOCATIONS = {
                   "--set", "h=0.001"],
     "kdv-limit": ["kdv-limit", "--set", "grid.k=32", "--set", "T=2",
                   "--set", "sample.stride=250", "--set", "s.values=[0.5,1]"],
+    # the residual stencils' approach to nf.time - nf.dt ends in a shortened step
+    "verify-identities": ["verify-identities", "--set", "identities.radius=20",
+                          "--set", "identities.k=16", "--set", "nf.time=0.05"],
+    "estimate-constants": ["estimate-constants", "--set", "constants.k=[8,16]",
+                           "--set", "constants.trials=10", "--set", "rho.trials=200"],
 }
 
 
@@ -52,11 +61,28 @@ def snapshot(argv) -> dict:
     return {"argv": list(argv), "exit_code": code, "reports": reports, "csvs": csvs}
 
 
+def moved(old, new, where=""):
+    """(key, old value, new value) of every leaf in which two snapshots
+    differ; a key only one of them has is None in the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved(old.get(key), new.get(key), f"{where}.{key}" if where else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moved(a, b, f"{where}[{i}]")
+    elif old != new:
+        yield where, old, new
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, argv in INVOCATIONS.items():
         path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(snapshot(argv), indent=1, sort_keys=True) + "\n")
+        got = snapshot(argv)
+        if path.exists():
+            for key, old, new in moved(json.loads(path.read_text()), got):
+                print(f"{name}: {key}: {old!r} -> {new!r}", file=sys.stderr)
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
 
 

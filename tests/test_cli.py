@@ -122,6 +122,15 @@ BAD_CONFIG_VALUES = [
     ("estimate-constants", "init.seed=-2"),
     ("verify-identities", "init.seed=-5"),
     ("smoothing", "ladder.k=[16,32]"),
+    # JSON reads Infinity and NaN, and no float key takes them
+    ("kdv-limit", "grid.k=16 T=1 h=Infinity"),
+    ("kdv-limit", "T=Infinity"),
+    ("verify-identities", "nf.time=Infinity"),
+    ("envelope", "grid.k=16 T=1 forcing.amplitude=NaN"),
+    ("smoothing", "s.values=[0.5,-Infinity]"),
+    # more steps of h to T than fit in memory: refused before the run steps
+    ("kdv-limit", "grid.k=16 T=10 h=1e-15"),
+    ("envelope", "grid.k=16 T=1e300"),
     # a key the command does not read
     ("attractor", "init.target_l2=100"),
     ("attractor", "--seed=5"),

@@ -10,6 +10,7 @@ from fdkdv import flow
 from fdkdv.flow import (
     CONVECTIVE_LIMIT,
     FlowParams,
+    StepCountError,
     StepFailureError,
     _etdrk4_coeffs,
     default_step,
@@ -146,7 +147,8 @@ class TestStep:
         with pytest.raises(StepFailureError) as info:
             for i in range(20):
                 u = step(u, i * 0.5, params)
-        assert info.value.time > 0
+        # the time of the failing step's end, t + h
+        assert info.value.time == i * 0.5 + 0.5
 
     def test_preserves_mean_zero_and_symmetry(self):
         g = GridSpec(16)
@@ -170,6 +172,19 @@ class TestEvolve:
         traj = evolve(CoefSeq.cosine(g), 0.055, params, sample_every=2)
         assert traj.times[-1] == pytest.approx(0.055)
         assert np.allclose(traj.times[:-1], [0.0, 0.02, 0.04])
+
+    @pytest.mark.parametrize("T, h", [(10.0, 1e-15), (1e300, 1e-3), (1e300, 1e-15)])
+    def test_too_many_steps_raise_before_stepping(self, monkeypatch, T, h):
+        # 1e16 steps do not fit in memory, 1e303 exceed numpy's largest
+        # dimension, and T / h = inf is no step count at all
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "product_half", no_stepping)
+        params = cos_params(K=16, h=h)
+        with pytest.raises(StepCountError, match="too many to allocate") as info:
+            evolve(CoefSeq.cosine(params.grid), T, params)
+        assert (info.value.T, info.value.h) == (T, h)
 
     def test_decay_bounded_by_envelope(self):
         # sigma = 2.5 keeps the high-mode stage error under the 1e-6 budget
@@ -602,17 +617,20 @@ def test_per_step_work_is_four_squares(monkeypatch, scheme, coarsen):
 
 @pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
 def test_kernels_are_freed_with_their_last_reference(scheme):
-    # no reference cycle: a run's work arrays go when its kernels do, not
-    # when the cyclic collector next runs
+    # no reference cycle: a run's work arrays and folded weights go when its
+    # kernel does, not when the cyclic collector next runs
     params = replace(coarse_case()[0], scheme=scheme)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        kernel = flow._Stepper(params, params.h, 2)
-        longer = kernel.at_step(2 * params.h)
-        refs = [weakref.ref(kernel), weakref.ref(longer)]
-        del kernel, longer
-        assert [r() for r in refs] == [None, None]
+        kernel = flow._Stepper(params, 2)
+        c = np.stack([u.coef for u in coarse_case()[1]])
+        for h in (params.h, 2 * params.h):  # weights folded for two step sizes
+            kernel.first(c)
+            kernel.finish(c, c, h)
+        ref = weakref.ref(kernel)
+        del kernel
+        assert ref() is None
     finally:
         if enabled:
             gc.enable()
@@ -625,10 +643,10 @@ def step_log(monkeypatch):
     log = []
     finish = flow._Stepper.finish
 
-    def logged(self, c, out):
+    def logged(self, c, out, h):
         u = np.fft.irfft(c, n=self.grid.P, norm="forward")
-        log.append((self.h, float(np.max(np.abs(u)))))
-        return finish(self, c, out)
+        log.append((h, float(np.max(np.abs(u)))))
+        return finish(self, c, out, h)
 
     monkeypatch.setattr(flow._Stepper, "finish", logged)
     return log
