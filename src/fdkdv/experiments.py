@@ -6,7 +6,8 @@ whose numbers all trace back to trajectories produced in the same call.
 
 Outcomes: a config value no run can use is a ConfigError from RunConfig
 itself (runners raise one only for what depends on the experiment); a run
-of more steps than fit in memory raises StepCountError before it steps; a
+of more steps than fit in memory raises StepCountError before it steps (a
+ConfigError naming nf.time from the residual runner, which reads no T or h); a
 horizon too short to measure is a report whose one verdict,
 horizon_sufficient, fails, with the reason in measured["diagnostic"]; a
 solver breakdown raises StepFailureError.
@@ -26,6 +27,7 @@ from . import __version__
 from .flow import (
     SCHEMES,
     FlowParams,
+    StepCountError,
     StepFailureError,
     TrajectoryRecord,
     default_step,
@@ -255,14 +257,15 @@ def initial_state_for(cfg: RunConfig, grid: GridSpec | None = None) -> CoefSeq:
     )
 
 
-def flow_params_for(cfg: RunConfig, grid: GridSpec | None = None, h: float = 0.0) -> FlowParams:
-    """The flow of every runner: cfg's gamma, forcing and scheme on grid at step h (0:
-    cfg's step there).  A gamma so small that 2||f||/gamma overflows is a ConfigError."""
+def flow_params_for(cfg: RunConfig, grid: GridSpec | None = None) -> FlowParams:
+    """The flow of every runner but the normal-form residual's: cfg's gamma,
+    forcing, scheme and step on grid.  A gamma so small that 2||f||/gamma
+    overflows is a ConfigError."""
     grid = grid or cfg.grid()
     forcing = forcing_for(cfg, grid)
     if cfg.gamma > 0 and not np.isfinite(2.0 * forcing.l2() / cfg.gamma):
         raise ConfigError(f"gamma = {cfg.gamma:g} is too small: 2||f||/gamma overflows")
-    return FlowParams(cfg.gamma, forcing, h or cfg.step_size(grid.K), cfg.scheme)
+    return FlowParams(cfg.gamma, forcing, cfg.step_size(grid.K), cfg.scheme)
 
 
 def _check_sobolev_weights(cfg: RunConfig, K: int) -> None:
@@ -620,13 +623,13 @@ DEFAULT_ENVELOPE_SUITE: tuple[RunConfig, ...] = (
 )
 
 
-def default_smoothing_config(s_values: tuple[float, ...] = (0.5, 0.9)) -> RunConfig:
+def default_smoothing_config() -> RunConfig:
     # etdrk4 + h = 2.5e-4: rough sigma = 0.55 data at K = 256 is outside the
     # integrating-factor scheme's stable/accurate envelope
     return RunConfig(
         gamma=0.5, forcing_amplitude=1.0, init_sigma=0.55, init_seed=7,
         init_target_l2=1.0, h=2.5e-4, scheme="etdrk4", T=20.0,
-        s_values=s_values, sample_stride=200, ladder_k=(64, 128, 256),
+        s_values=(0.5, 0.9), sample_stride=200, ladder_k=(64, 128, 256),
     )
 
 
@@ -689,12 +692,18 @@ def run_normal_form_residual(cfg: RunConfig) -> RunReport:
 
     t0 = time.perf_counter()
     grid = cfg.grid()
-    params = flow_params_for(cfg, grid, h=cfg.nf_dt)
+    # stencil_states sets both of its steps from nf.dt, so h is no key of
+    # this run and flow_params_for (which reads it) is not used
+    params = FlowParams(cfg.gamma, forcing_for(cfg, grid), cfg.nf_dt, cfg.scheme)
     u0 = initial_state_for(cfg, grid)
     frame = NormalFormFrame.from_forcing(params.forcing, cfg.gamma)
     residuals = {}
     for dt in (cfg.nf_dt, cfg.nf_dt / 2.0):
-        states = stencil_states(u0, params, cfg.nf_time, dt)
+        try:
+            states = stencil_states(u0, params, cfg.nf_time, dt)
+        except StepCountError as exc:
+            raise ConfigError(f"nf.time = {cfg.nf_time:g} is too long: the approach to it "
+                              f"in steps of {exc.h:g} is too many to allocate") from exc
         residuals[dt] = normal_form_residual(states, frame, cfg.nf_time, dt)
     ratio = residuals[cfg.nf_dt] / residuals[cfg.nf_dt / 2.0]
     report = RunReport("normal_form_residual", cfg)
@@ -722,8 +731,8 @@ def run_identity_checks(cfg: RunConfig) -> RunReport:
     radius = cfg.identities_radius
     n_cubic = verify_cubic_phase_exhaustive(radius)
     n_quartic = verify_quartic_phase_exhaustive(radius)
-    verify_cubic_phase_sampled(10**6, trials=500, seed=cfg.init_seed)
-    verify_quartic_phase_sampled(10**6, trials=500, seed=cfg.init_seed)
+    n_sampled = verify_cubic_phase_sampled(10**6, trials=500, seed=cfg.init_seed)
+    n_sampled += verify_quartic_phase_sampled(10**6, trials=500, seed=cfg.init_seed)
     # the exhaustive checkers raise on any mismatch; reaching here means zero
     report.check("cubic_phase_mismatches", 0.0, 0.0)
     report.check("quartic_phase_mismatches", 0.0, 0.0)
@@ -735,7 +744,7 @@ def run_identity_checks(cfg: RunConfig) -> RunReport:
         {
             "cubic_pairs_checked": n_cubic,
             "quartic_triples_checked": n_quartic,
-            "wide_integer_samples": 1000,
+            "wide_integer_samples": n_sampled,
             "resonant_cancellation_residual": residual,
         }
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import linear_multiplier
-from .spectral import NORM_ROWS, CoefSeq, GridSpec, product_half, sobolev_norms
+from .spectral import NORM_ROWS, CoefSeq, product_half, sobolev_norms
 
 # sobolev_norm stays bound here: the traced benchmark (bench/tracing.py)
 # patches it on this module.
@@ -132,41 +132,37 @@ def resonant_cubic_coefs(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def nonresonant_cubic(u: CoefSeq, t: float = 0.0, pair_sum_band: int | None = None) -> CoefSeq:
+def nonresonant_cubic(u: CoefSeq, t: float = 0.0) -> CoefSeq:
     """Cubic remainder over nonresonant triples:
 
         (i/6) sum_{k1+k2+k3=k} e^{-3i t (k1+k2)(k1+k3)(k2+k3)} u_{k1} u_{k2} u_{k3} / k1
 
-    restricted to (k1+k2)(k1+k3)(k2+k3) != 0.
+    restricted to (k1+k2)(k1+k3)(k2+k3) != 0 and to pair sums
+    |k2 + k3| <= K.  That is the domain generated when the truncated
+    quadratic dynamics are substituted into the bilinear term, so the
+    differential identity at truncation K holds exactly on it (see
+    normal_form_residual).
 
-    pair_sum_band additionally restricts |k2 + k3| <= band.  That is the
-    domain generated when the truncated quadratic dynamics are substituted
-    into the bilinear term, so the differential identity at truncation K
-    holds exactly only with pair_sum_band = K (see normal_form_residual).
-
-    The sum over all triples with k2 + k3 = m != 0, |m| <= band is
-    -e^{-i t k^3} (q band(u~ u~)) / 6 with u~_j = u_j e^{i t j^3} and q the
-    twisted antiderivative (:func:`_twisted_antiderivative`), both products
-    of real fields taken on the 2K grid so that the pair sums m reach
-    |m| <= 2K without aliasing.  The resonant triples in it have phase 1
-    and are subtracted in closed form (:func:`_resonant_cubic_banded`);
-    O(K log K) overall.  The nonresonant domain is empty at K = 1 (every
-    triple is resonant) and at band 0, and there the result is exactly zero.
+    The sum over all triples with k2 + k3 = m != 0, |m| <= K is
+    -e^{-i t k^3} (q (u~ u~)) / 6 with u~_j = u_j e^{i t j^3} and q the
+    twisted antiderivative (:func:`_twisted_antiderivative`): two products
+    of real fields on u's grid, whose P >= 3K + 1 keeps every mode |k| <= K
+    of each exact, and the first of which stops at |m| <= K.  The resonant
+    triples in it have phase 1 and are subtracted in closed form
+    (:func:`_resonant_cubic_banded`); O(K log K) overall.  The nonresonant
+    domain is empty at K = 1 (every triple is resonant), and there the
+    result is exactly zero.
     """
-    K = u.grid.K
-    band = 2 * K if pair_sum_band is None else min(max(pair_sum_band, 0), 2 * K)
-    if K == 1 or band == 0:
+    if u.grid.K == 1:
         return CoefSeq.zeros(u.grid)
-    wide = GridSpec(2 * K)
     q, twist = _twisted_antiderivative(u, t)
     tilde = u.coef * twist
-    pairs = product_half(tilde, tilde, wide)
+    pairs = product_half(tilde, tilde, u.grid)
     pairs[0] = 0.0
-    pairs[band + 1 :] = 0.0
-    full = product_half(q, pairs, wide)[: K + 1] / -6.0
+    full = product_half(q, pairs, u.grid) / -6.0
     if t != 0.0:
         full *= np.conj(twist)
-    out = full - _resonant_cubic_banded(u.coef, band)
+    out = full - _resonant_cubic_banded(u.coef)
     out[0] = 0.0
     return CoefSeq(u.grid, out)
 
@@ -177,16 +173,16 @@ def _full_spectrum(a: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(a[:0:-1]), a))
 
 
-def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:
+def _resonant_cubic_banded(a: np.ndarray) -> np.ndarray:
     """Resonant part of the cubic sum (triples with k1 + k2 = 0 or
-    k1 + k3 = 0) on the domain |k2 + k3| <= band, for the half spectrum a;
+    k1 + k3 = 0) on the domain |k2 + k3| <= K, for the half spectrum a;
     returns k = 0..K.
 
     Both pair classes contribute a_k sum_j |a_j|^2 / j over 0 < |j| <= K,
-    j != +-k, |k - j| <= band; the doubly resonant diagonal -|a_k|^2 a_k / k
-    survives only for |2k| <= band.  At band = K (the truncation-consistent
-    domain) the pair sums cancel in j <-> -j pairs except for a band-edge
-    tail.  Window sums over j = -K..K come from one prefix sum, O(K).
+    j != +-k, j >= k - K; the doubly resonant diagonal -|a_k|^2 a_k / k
+    survives only for 2k <= K.  The pair sums cancel in j <-> -j pairs
+    except for j > K - k, whose mirrors fall below the window.  Window sums
+    over j = k - K..K come from one prefix sum, O(K).
     """
     K = a.size - 1
     j = np.arange(-K, K + 1)
@@ -195,12 +191,11 @@ def _resonant_cubic_banded(a: np.ndarray, band: int) -> np.ndarray:
     w[nz] = np.abs(_full_spectrum(a)[nz]) ** 2 / j[nz]
     prefix = np.concatenate(([0.0], np.cumsum(w)))
     k = np.arange(K + 1)
-    lo = np.maximum(k - band, -K) + K
-    hi = np.minimum(k + band, K) + K
     w_k, w_minus_k = w[k + K], w[K - k]
-    diagonal = 2 * k <= band
-    # the window always holds j = k, and holds j = -k exactly when |2k| <= band
-    window = prefix[hi + 1] - prefix[lo] - w_k - np.where(diagonal, w_minus_k, 0.0)
+    diagonal = 2 * k <= K
+    # the window j = k - K..K (indices k..2K) always holds j = k, and holds
+    # j = -k exactly when 2k <= K
+    window = prefix[2 * K + 1] - prefix[k] - w_k - np.where(diagonal, w_minus_k, 0.0)
     # w_k a_k = |a_k|^2 a_k / k is the diagonal term
     out = (1j / 6.0) * a * (2.0 * window - np.where(diagonal, w_k, 0.0))
     out[0] = 0.0
@@ -297,14 +292,13 @@ def _identity_rhs(z: CoefSeq, frame: NormalFormFrame, t: float) -> np.ndarray:
     g = frame.gamma
     y = frame.y_at(t)
     a = z.with_coef(z.coef + y.coef)
-    K = a.grid.K
     return (
-        np.exp(-2.0 * g * t) * _resonant_cubic_banded(a.coef, K)
+        np.exp(-2.0 * g * t) * _resonant_cubic_banded(a.coef)
         - g * y.coef
         + g * np.exp(-g * t) * normal_form_bilinear(a, a, t).coef
         - 2.0 * np.exp(-g * t)
         * normal_form_bilinear(a, frame.y_rate_minus_gamma_y(t), t).coef
-        + np.exp(-2.0 * g * t) * nonresonant_cubic(a, t, pair_sum_band=K).coef
+        + np.exp(-2.0 * g * t) * nonresonant_cubic(a, t).coef
     )
 
 

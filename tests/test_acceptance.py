@@ -6,6 +6,7 @@ Expected wall time for the whole module is a few minutes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_a4_smoothing_ladder():
     across K in {64,128,256} while the data family grows >= 1.3x per
     doubling in H^s, for s = 0.5 and s = 0.9; under 15 minutes."""
     t0 = time.perf_counter()
-    report = run_smoothing_ladder(default_smoothing_config(s_values=(0.5, 0.9)))
+    report = run_smoothing_ladder(replace(default_smoothing_config(), s_values=(0.5, 0.9)))
     wall = time.perf_counter() - t0
     gaps = {c.name: c.measured for c in report.checks}
     ok = report.passed and wall < 900.0

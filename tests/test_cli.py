@@ -102,6 +102,8 @@ BAD_CONFIG_VALUES = [
     ("verify-identities", "identities.radius=200000"),
     ("verify-identities", "identities.radius=10 identities.k=0"),
     ("verify-identities", "identities.radius=10 identities.k=8 nf.dt=-1e-5"),
+    # the residual stencil's approach to nf.time is too many steps to allocate
+    ("verify-identities", "identities.radius=20 nf.time=1e300"),
     # a value of the wrong type is named like one out of range
     ("kdv-limit", "grid.k=1.5"),
     ("envelope", "T=true"),

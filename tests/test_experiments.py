@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fdkdv.experiments
+import fdkdv.lattice
 from fdkdv.experiments import (
     CUBIC_TRIAL_BLOCK,
     DEFAULT_ENVELOPE_SUITE,
@@ -24,6 +25,7 @@ from fdkdv.experiments import (
     run_absorbing_ball,
     run_attractor_probe,
     run_energy_envelope,
+    run_identity_checks,
     run_kdv_limit,
     run_smoothing_ladder,
 )
@@ -203,7 +205,7 @@ class TestSmoothingLadder:
         # the gap and norm ratios already stabilize over a short horizon;
         # the full T = 20 version runs in the acceptance suite
         cfg = replace(
-            default_smoothing_config(s_values=(0.5,)), T=2.0, h=5e-4, sample_stride=400
+            default_smoothing_config(), s_values=(0.5,), T=2.0, h=5e-4, sample_stride=400
         )
         r = run_smoothing_ladder(cfg)
         assert r.passed
@@ -456,7 +458,7 @@ class TestAttractorGammaTrend:
 class TestUnforcedSmoothing:
     def test_pure_decay_ladder_gap_stays_bounded(self):
         cfg = replace(
-            default_smoothing_config(s_values=(0.5,)),
+            default_smoothing_config(), s_values=(0.5,),
             forcing_profile="zero", T=2.0, h=5e-4, sample_stride=400,
         )
         r = run_smoothing_ladder(cfg)
@@ -499,6 +501,15 @@ class TestResidualConfigs:
         cfgs = default_residual_configs()
         assert len(cfgs) == 3
         assert len({c.hash() for c in cfgs}) == 3
+
+
+class TestIdentityChecks:
+    def test_reports_the_wide_integer_samples_checked(self, monkeypatch):
+        # the count is what the two sampled checks return, not a literal
+        monkeypatch.setattr(fdkdv.lattice, "verify_cubic_phase_sampled", lambda *a, **kw: 3)
+        monkeypatch.setattr(fdkdv.lattice, "verify_quartic_phase_sampled", lambda *a, **kw: 4)
+        report = run_identity_checks(RunConfig(identities_radius=10, identities_k=8))
+        assert report.measured["wide_integer_samples"] == 7
 
 
 def per_trial_cubic_bound(K, s_values, trials, seed):

@@ -65,8 +65,8 @@ def bilinear_oracle(u, v, t):
 def cubic_oracle(u, t, band, resonant):
     """(i/6) sum_{k1+k2+k3=k} e^{-3i t (k1+k2)(k1+k3)(k2+k3)} u_{k1} u_{k2} u_{k3} / k1
     by triple enumeration over nonzero k_i with k2 + k3 != 0 and
-    |k2 + k3| <= band (None: no band); resonant=True keeps only triples with
-    a vanishing pair sum, False only the others, None all of them; k = -K..K."""
+    |k2 + k3| <= band; resonant=True keeps only triples with a vanishing
+    pair sum, False only the others, None all of them; k = -K..K."""
     K = u.grid.K
     uf = full(u)
     expected = np.zeros(2 * K + 1, dtype=np.complex128)
@@ -75,7 +75,7 @@ def cubic_oracle(u, t, band, resonant):
             for k3 in range(-K, K + 1):
                 if 0 in (k1, k2, k3) or k2 + k3 == 0:
                     continue
-                if band is not None and abs(k2 + k3) > band:
+                if abs(k2 + k3) > band:
                     continue
                 phase = (k1 + k2) * (k1 + k3) * (k2 + k3)
                 if resonant is not None and (phase == 0) != resonant:
@@ -269,14 +269,14 @@ class TestNonresonantCubic:
     def test_zero(self):
         assert np.all(nonresonant_cubic(CoefSeq.zeros(GridSpec(4))).coef == 0)
 
-    def test_matches_triple_enumeration_oracle(self):
-        t = 0.41
-        for K in (3, 5, 8):
+    @pytest.mark.parametrize("t", [0.0, 0.41])
+    def test_matches_triple_enumeration_oracle(self, t):
+        # the oracle's domain is the identity's: pair sums |k2 + k3| <= K
+        for K in (2, 3, 5, 8, 17):
             u = hermitian_state(GridSpec(K), seed=13)
-            for band in (None, K, K // 2):
-                expected = cubic_oracle(u, t, band, resonant=False)
-                got = nonresonant_cubic(u, t, pair_sum_band=band)
-                assert np.max(np.abs(full(got) - expected)) < 1e-13, (K, band)
+            expected = cubic_oracle(u, t, K, resonant=False)
+            got = nonresonant_cubic(u, t)
+            assert np.max(np.abs(full(got) - expected)) < 1e-13, (K, t)
 
     def test_cubic_homogeneity(self):
         g = GridSpec(8)
@@ -291,34 +291,32 @@ class TestNonresonantCubic:
         # the triple sums at k < 0 are the conjugates of those at -k, which
         # is what the stored half spectrum claims through mode(k)
         u = hermitian_state(GridSpec(6), seed=15)
-        expected = cubic_oracle(u, t, None, resonant=False)
+        expected = cubic_oracle(u, t, 6, resonant=False)
         assert np.max(np.abs(expected[:6] - np.conj(expected[:6:-1]))) < 1e-13
         got = nonresonant_cubic(u, t)
         assert max(abs(got.mode(k) - expected[k + 6]) for k in range(-6, 0)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.0, 0.37])
     def test_exact_zero_on_an_empty_domain(self, t):
-        # at K = 1 every triple is resonant; band 0 admits no pair sum
+        # at K = 1 every triple is resonant
         u = CoefSeq.from_modes(GridSpec(1), {1: 0.7 - 0.4j})
-        for band in (None, 1, 0):
-            assert np.all(nonresonant_cubic(u, t, pair_sum_band=band).coef == 0)
-        u = random_rough_state(GridSpec(17), 1.2, seed=3, target_l2=1.0)
-        assert np.all(nonresonant_cubic(u, t, pair_sum_band=0).coef == 0)
+        assert np.all(nonresonant_cubic(u, t).coef == 0)
 
 
 class TestResonantCubicBanded:
-    def test_matches_triple_enumeration_oracle(self):
-        for K in (3, 5, 8):
+    @pytest.mark.parametrize("t", [0.0, 0.41])
+    def test_matches_triple_enumeration_oracle(self, t):
+        # resonant triples have phase 1, so t changes nothing
+        for K in (2, 3, 5, 8, 17):
             u = hermitian_state(GridSpec(K), seed=17)
-            for band in (0, K // 2, K, 2 * K):
-                expected = cubic_oracle(u, 0.0, band, resonant=True)
-                got = CoefSeq(u.grid, _resonant_cubic_banded(u.coef, band))
-                assert np.max(np.abs(full(got) - expected)) < 1e-14, (K, band)
+            expected = cubic_oracle(u, t, K, resonant=True)
+            got = CoefSeq(u.grid, _resonant_cubic_banded(u.coef))
+            assert np.max(np.abs(full(got) - expected)) < 1e-14, (K, t)
 
     def test_cubic_sum_splits_into_resonant_and_nonresonant(self):
         u = hermitian_state(GridSpec(8), seed=18)
         cubic = cubic_oracle(u, 0.0, 8, resonant=None)
-        split = nonresonant_cubic(u, 0.0, pair_sum_band=8).coef + _resonant_cubic_banded(u.coef, 8)
+        split = nonresonant_cubic(u, 0.0).coef + _resonant_cubic_banded(u.coef)
         assert np.max(np.abs(cubic[8:] - split)) < 1e-14
 
 
@@ -430,11 +428,11 @@ class TestDifferentialIdentity:
 
         rate = CoefSeq(g, dy - gamma * y)
         rhs = (
-            np.exp(-2 * gamma * t) * _resonant_cubic_banded(a.coef, K)
+            np.exp(-2 * gamma * t) * _resonant_cubic_banded(a.coef)
             - gamma * y
             + gamma * np.exp(-gamma * t) * B(a, a, t).coef
             - 2.0 * np.exp(-gamma * t) * B(a, rate, t).coef
-            + np.exp(-2 * gamma * t) * nonresonant_cubic(a, t, pair_sum_band=K).coef
+            + np.exp(-2 * gamma * t) * nonresonant_cubic(a, t).coef
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 

@@ -243,8 +243,8 @@ class TestDirectTransforms:
         rng = np.random.default_rng(K)
         a, b = (rng.normal(size=batch + (K + 1,)) + 1j * rng.normal(size=batch + (K + 1,))
                 for _ in range(2))
-        # the operands fill the grid, or only its low half as on the
-        # cubic's 2K grid; P is odd for K = 8 (25) and on the 2K grid of K = 2 (15)
+        # the operands fill the grid, or only its low half (K' < K, which the
+        # contract allows); P is odd for K = 8 (25) and for 2K = 4 (15)
         for grid in (GridSpec(K), GridSpec(2 * K)):
             for x, y in ((a, a), (a, b)):
                 expected = self.np_fft_product(x, y, grid)
