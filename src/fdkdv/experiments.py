@@ -453,12 +453,18 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
     variant measures the same gap from the sample nearest RESTART_FRACTION * T
     = T/2 onward.  That is never the last sample, at T: every earlier sample
     lies at least as near T/2, and argmin takes the first of a tie.
+
+    Each rung also records what its step resolves: a step h resolves mode
+    k's nonlinear response only where the low-high phase 3 k^2 h (k_1 = 1)
+    is about 1 or less, so the rung's resonance_number is 3 K^2 h and its
+    resolved_wavenumber (3 h)^(-1/2).
     """
     t0 = time.perf_counter()
     ladder = tuple(sorted(cfg.ladder_k))
     _check_sobolev_weights(cfg, ladder[-1])
     report = RunReport("smoothing_ladder", cfg)
     per_rung: dict[int, dict] = {}
+    resonance, resolved = {}, {}
     for K in ladder:
         grid = GridSpec(K)
         params = flow_params_for(cfg, grid)
@@ -473,6 +479,8 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
             )
         traj = evolve(u0, cfg.T, params, sample_every=cfg.sample_stride)
         report.trajectories[f"smoothing_K{K}"] = traj
+        resonance[str(K)] = 3.0 * K**2 * params.h
+        resolved[str(K)] = (3.0 * params.h) ** -0.5
 
         t, coefs = traj.times, traj.coefs
         i0 = int(np.argmin(np.abs(t - RESTART_FRACTION * cfg.T)))
@@ -488,6 +496,8 @@ def run_smoothing_ladder(cfg: RunConfig) -> RunReport:
         str(K): {k: {str(s): v for s, v in d.items()} for k, d in rung.items()}
         for K, rung in per_rung.items()
     }
+    report.measured["resonance_number"] = resonance
+    report.measured["resolved_wavenumber"] = resolved
     top, mid = ladder[-1], ladder[-2]
     for s in cfg.s_values:
         if not (per_rung[mid]["gap_sup"][s] and per_rung[mid]["restart_gap_sup"][s]):

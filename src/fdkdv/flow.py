@@ -50,13 +50,13 @@ starts no step, directly.  :func:`step` is a run of one step.  Each
 member's samples are one read-only array, whose l2 norms are summed from
 it (the dense slots differ by roundoff).
 ``evolve_batch(..., coarsen=True)`` uses max|u| to take, at each step,
-the longest step h * 2^j whose convective number
-(h * 2^j) * K * max|u| stays within CONVECTIVE_LIMIT, among those
-that divide the sampling stride and start on a multiple of 2^j: every
-sample lands on its fixed-step time, and h becomes the finest step.  Only
-the attractor probe under ETDRK4 coarsens; every other run, and every
-IFRK4 run (whose stage quadrature saturates as |k^3 h| grows), keeps its
-fixed step and does no reduction.
+the longest step n * h whose convective number (n * h) * K * max|u| stays
+within CONVECTIVE_LIMIT, among the n that divide the sampling stride and
+the step index: no step crosses a sample, so every sample lands on its
+fixed-step time, and h becomes the finest step.  Only the attractor
+probe under ETDRK4 coarsens; every other run, and every IFRK4 run (whose
+stage quadrature saturates as |k^3 h| grows), keeps its fixed step and
+does no reduction.
 """
 
 from __future__ import annotations
@@ -351,6 +351,20 @@ def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
     return sq
 
 
+def _divisors(m: int, cap: int) -> list:
+    """The divisors of m that are at most cap, ascending, in
+    O(min(sqrt(m), cap)) trial divisions."""
+    small, large = [], []
+    d = 1
+    while d * d <= m and d <= cap:
+        if not m % d:
+            small.append(d)
+            if d * d != m and m // d <= cap:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
 def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
     """du_k/dt = (i k^3 - gamma) u_k - (i k / 2)(u*u)_k + f_k, k != 0."""
     g = params.grid
@@ -395,13 +409,16 @@ def evolve_batch(
     end; only the final state's norm is summed directly.
 
     With coarsen, params.h is the finest step.  At step index i (in units
-    of h) the batch takes the longest step n * h, n = 2^j, for which n
-    divides both sample_every and i, i + n is at most the last full step,
-    and (n * h) * K * max|u| <= CONVECTIVE_LIMIT for the batch's state at i.
-    Every sample therefore lands on its fixed-step time.  max|u| costs one
-    reduction per step, of the u(x)^2 the first stage leaves behind; a
-    step of n = 1 is the fixed step to the bit.  The batch shares one
-    schedule, so a member is no longer bit-identical to its solo run.
+    of h) the batch takes the longest step n * h for which n divides both
+    sample_every and i, i + n is at most the last full step, and
+    (n * h) * K * max|u| <= CONVECTIVE_LIMIT for the batch's state at i;
+    otherwise (a non-finite max|u| included) it takes n = 1.  No step
+    crosses a sample, so every sample lands on its fixed-step time.  The
+    divisors are found once per run, in O(min(sqrt(sample_every), T / h))
+    trial divisions.  max|u| costs one reduction per step, of the u(x)^2
+    the first stage leaves behind; a step of n = 1 is the fixed step to the
+    bit.  The batch shares one schedule, so a member is no longer
+    bit-identical to its solo run.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -444,9 +461,8 @@ def evolve_batch(
 
     record(0.0, coef)
     kernel = _Stepper(params, M)
-    top = 1  # the longest step in units of h: a power of two dividing sample_every
-    while coarsen and sample_every % (2 * top) == 0 and 2 * top <= n_full:
-        top *= 2
+    # the coarsened step sizes n > 1 (units of h) that fit the run, longest first
+    ladder = _divisors(sample_every, n_full)[:0:-1] if coarsen else ()
     counts = {}  # step size -> number of steps taken at it
     conv_per_h = h * g.K
     worst = 0.0
@@ -460,10 +476,12 @@ def evolve_batch(
                 record(i * h, coef)
             max_u = kernel.max_abs_u() if coarsen else 0.0
             if i < n_full:
-                n = top
-                while n > 1 and (i % n or i + n > n_full
-                                 or not n * (conv_per_h * max_u) <= CONVECTIVE_LIMIT):
-                    n //= 2
+                for n in ladder:
+                    if (not i % n and i + n <= n_full
+                            and n * (conv_per_h * max_u) <= CONVECTIVE_LIMIT):
+                        break
+                else:  # none fits (a NaN max|u| meets no limit)
+                    n = 1
                 size = n * h
                 i += n
                 t = i * h

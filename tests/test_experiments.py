@@ -212,6 +212,11 @@ class TestSmoothingLadder:
         ratios = r.measured["u0_norm_ratios_s0.5"]
         assert len(ratios) == 2
         assert all(rr > 1.25 for rr in ratios)
+        # what each rung resolves: 3 K^2 h and (3 h)^(-1/2) at h = 5e-4
+        assert r.measured["resonance_number"] == pytest.approx(
+            {"64": 6.144, "128": 24.576, "256": 98.304}, rel=1e-12)
+        assert r.measured["resolved_wavenumber"] == pytest.approx(
+            dict.fromkeys(("64", "128", "256"), (1.5e-3) ** -0.5), rel=1e-12)
 
     def test_smooth_data_degenerates_gracefully(self):
         cfg = RunConfig(
@@ -332,7 +337,8 @@ class TestAttractorProbe:
 
 
 class TestCoarsenedAttractor:
-    # K = 32, gamma = 0.5, ETDRK4 at h = 1e-3, stride 100: steps of h, 2h, 4h
+    # K = 32, gamma = 0.5, ETDRK4 at h = 1e-3, stride 100: steps of h, 2h,
+    # 4h, 5h and 10h
     CFG = RunConfig(
         grid_k=32, gamma=0.5, forcing_amplitude=1.0, init_sigma=1.2,
         h=1e-3, scheme="etdrk4", T=20.0, s_values=(0.5,), sample_stride=100,
@@ -358,8 +364,11 @@ class TestCoarsenedAttractor:
     def test_measured_step_bookkeeping(self):
         m = run_attractor_probe(self.CFG).measured
         counts = m["step_counts"]
-        assert set(counts) == {1e-3, 2e-3, 4e-3}
-        assert m["solver_steps"] == sum(counts.values()) < 20000 / 3
+        assert set(counts) == {1e-3, 2e-3, 4e-3, 5e-3, 1e-2}
+        for size in counts:
+            n = round(size / 1e-3)
+            assert size == n * 1e-3 and 100 % n == 0
+        assert m["solver_steps"] == sum(counts.values()) < 20000 / 5
         assert sum(size * n for size, n in counts.items()) == pytest.approx(self.CFG.T)
         assert 0.25 < m["max_convective_number"] <= 0.5
         # bench/workloads.key_quantities selects keys by these prefixes

@@ -1,4 +1,5 @@
 import gc
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -654,7 +655,7 @@ def step_log(monkeypatch):
 
 def coarse_case(K=32, h=4e-3, amplitude=1.0):
     """A forced ETDRK4 pair whose l2 = 4 member's transient holds the step
-    at h while the settled batch runs at 2h and 4h."""
+    at h while the settled batch runs at 2h, 3h and 4h (at stride 24)."""
     g = GridSpec(K)
     params = FlowParams(gamma=1.0, forcing=CoefSeq.cosine(g, amplitude=amplitude), h=h,
                         scheme="etdrk4")
@@ -671,8 +672,8 @@ def assert_runs_equal(a, b):
 
 
 class TestCoarsenedBatch:
-    """evolve_batch(..., coarsen=True): steps of h * 2^j under the convective
-    limit, dividing the stride, sampled at the fixed-step times."""
+    """evolve_batch(..., coarsen=True): steps of n * h under the convective
+    limit, n dividing the stride, sampled at the fixed-step times."""
 
     def test_sample_times_are_the_fixed_step_times(self):
         params, members = coarse_case()
@@ -686,8 +687,12 @@ class TestCoarsenedBatch:
             assert set(x.dense_times) <= set(y.dense_times)
             assert x.dense_l2.shape == x.dense_times.shape
         counts = coarse[0].step_counts
-        assert set(counts) == {T - 600 * h, h, 2 * h, 4 * h}
+        # 3h divides the stride 24 but is no power of two
+        assert set(counts) == {T - 600 * h, h, 2 * h, 3 * h, 4 * h}
         assert counts[T - 600 * h] == 1
+        for size in counts.keys() - {T - 600 * h}:
+            n = round(size / h)
+            assert size == n * h and 24 % n == 0
         assert sum(n * round(size / h) for size, n in counts.items() if size >= h) == 600
         assert sum(counts.values()) == len(coarse[0].dense_times) - 1 < 600
         assert fixed[0].step_counts == {T - 600 * h: 1, h: 600}
@@ -699,6 +704,17 @@ class TestCoarsenedBatch:
         coarse = evolve_batch(members, T, params, sample_every=37, coarsen=True)
         assert_runs_equal(coarse, evolve_batch(members, T, params, sample_every=37))
         assert set(coarse[0].step_counts) == {T - 300 * params.h, params.h}
+
+    def test_huge_stride_on_a_short_run_returns_at_once(self):
+        # the divisor ladder costs O(min(sqrt(stride), steps)), not O(stride):
+        # a loop over range(10**9) would take minutes
+        params, members = coarse_case()
+        T = 5.5 * params.h
+        start = time.perf_counter()
+        coarse = evolve_batch(members, T, params, sample_every=10**9, coarsen=True)
+        assert time.perf_counter() - start < 1.0
+        assert_runs_equal(coarse, evolve_batch(members, T, params, sample_every=10**9))
+        assert coarse[0].step_counts == {T - 5 * params.h: 1, params.h: 5}
 
     def test_no_room_under_the_limit_is_the_fixed_run_to_the_bit(self, step_log):
         # at K = 16, h = 0.03 and a forcing of amplitude 2, 2h * K * max|u|
@@ -718,14 +734,79 @@ class TestCoarsenedBatch:
         assert len(step_log) == len(starts)
         sizes = [round(size / h) for size, _ in step_log]
         assert np.array_equal(np.diff(np.rint(traj.dense_times / h)), sizes)
-        assert {1, 2, 4} == set(sizes)
+        assert {1, 2, 3, 4} == set(sizes)
         for start, n, (size, umax) in zip(starts, sizes, step_log):
+            assert size == n * h
             if n > 1:
                 assert start % n == 0 and 24 % n == 0
                 assert size * K * umax <= CONVECTIVE_LIMIT
+            # no longer divisor of the stride was open: each one is misaligned,
+            # runs past the last step or breaks the limit (to roundoff in max|u|)
+            for d in (d for d in range(n + 1, 25) if 24 % d == 0):
+                assert (start % d or start + d > 600
+                        or d * h * K * umax > CONVECTIVE_LIMIT * (1 - 1e-12))
         # the transient is what holds a step at h
         assert traj.max_convective == pytest.approx(max(s * K * u for s, u in step_log))
         assert traj.max_convective > CONVECTIVE_LIMIT
+
+
+def scaled(u: CoefSeq, lam: int, power: int) -> CoefSeq:
+    """lam^power * u_k on mode lam * k of the grid lam * K: KdV's integer
+    scaling of u, with power 2 for a state and 5 for a forcing."""
+    g = GridSpec(lam * u.grid.K)
+    c = np.zeros(g.size, dtype=np.complex128)
+    c[::lam] = lam**power * u.coef
+    return CoefSeq(g, c)
+
+
+class TestScalingOracle:
+    """The truncated flow is equivariant under KdV's integer scaling: if u
+    solves u_t + u_xxx + gamma u + u u_x = f on modes |k| <= K, then
+    v(x, t) = lam^2 u(lam x, lam^3 t) solves it with lam^3 gamma and
+    lam^5 f(lam x) on modes |k| <= lam K.  A run at h / lam^3 therefore
+    matches the run at h state for state.  At K = 16 the physical grids
+    nest (P = 50, 100, 150), so a coarsened run reads the same max|u| and
+    takes the same schedule."""
+
+    def runs(self, lam, scheme, coarsen):
+        params, members = coarse_case(K=16)
+        params = replace(params, scheme=scheme)
+        T = 300 * params.h
+        lifted = FlowParams(lam**3 * params.gamma, scaled(params.forcing, lam, 5),
+                            params.h / lam**3, scheme)
+        u = evolve_batch(members, T, params, sample_every=24, coarsen=coarsen)
+        v = evolve_batch([scaled(m, lam, 2) for m in members], T / lam**3, lifted,
+                         sample_every=24, coarsen=coarsen)
+        return u, v
+
+    @pytest.mark.parametrize("scheme, coarsen",
+                             [("ifrk4", False), ("etdrk4", False), ("etdrk4", True)])
+    @pytest.mark.parametrize("lam", [2, 3])
+    def test_scaled_run_matches(self, lam, scheme, coarsen):
+        u, v = self.runs(lam, scheme, coarsen)
+        for x, y in zip(u, v, strict=True):
+            assert np.allclose(y.times * lam**3, x.times, rtol=1e-12, atol=0.0)
+            assert rel_err(y.coefs[:, ::lam], lam**2 * x.coefs) <= 1e-12
+            off = np.ones(y.coefs.shape[1], dtype=bool)
+            off[::lam] = False
+            assert np.max(np.abs(y.coefs[:, off])) <= 1e-12 * np.max(np.abs(y.coefs))
+            assert np.allclose(y.dense_l2, lam**2 * x.dense_l2, rtol=1e-12, atol=0.0)
+            # the same schedule: as many steps of size / lam^3 as of each size
+            assert list(y.step_counts.values()) == list(x.step_counts.values())
+            assert np.allclose(np.array(list(y.step_counts)) * lam**3, list(x.step_counts),
+                               rtol=1e-12, atol=0.0)
+        if coarsen:
+            assert len(u[0].step_counts) > 1
+
+    def test_planted_drift_term_breaks_the_match(self, monkeypatch):
+        # a u_x term scales like lam^3, not lam^5, so it is no symmetry
+        def drifting(grid, gamma, _real=flow._symbols):
+            lam_k, convect = _real(grid, gamma)
+            return lam_k - 1j * np.arange(grid.K + 1), convect
+
+        monkeypatch.setattr(flow, "_symbols", drifting)
+        u, v = self.runs(2, "etdrk4", False)
+        assert rel_err(v[0].coefs[:, ::2], 4 * u[0].coefs) > 1e-2
 
 
 @pytest.fixture(scope="module")
