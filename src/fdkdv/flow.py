@@ -61,6 +61,7 @@ does no reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -354,15 +355,8 @@ def _half_sq_norms(c: np.ndarray, t: float) -> np.ndarray:
 def _divisors(m: int, cap: int) -> list:
     """The divisors of m that are at most cap, ascending, in
     O(min(sqrt(m), cap)) trial divisions."""
-    small, large = [], []
-    d = 1
-    while d * d <= m and d <= cap:
-        if not m % d:
-            small.append(d)
-            if d * d != m and m // d <= cap:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, min(math.isqrt(m), cap) + 1) if not m % d]
+    return small + [m // d for d in reversed(small) if d * d != m and m // d <= cap]
 
 
 def rhs(u: CoefSeq, params: FlowParams) -> CoefSeq:
